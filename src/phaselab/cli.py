@@ -121,6 +121,7 @@ def cmd_simulate(args) -> int:
         "mass_drift": float(np.max(np.abs(traj.mass - traj.mass[0]))),
         "accepted": traj.provenance.get("accepted"),
         "rejected": traj.provenance.get("rejected"),
+        "factorizations": traj.provenance.get("factorizations"),
         "wall_time_s": traj.provenance.get("wall_time_s"),
         "stop_reason": traj.provenance.get("stop_reason"),
         "error": failed,
@@ -205,6 +206,10 @@ def load_run(run_dir) -> Trajectory:
         provenance={
             "dissipation_norm": model.dissipation_norm,
             "m_star": model.mobility.m_star,
+            "preset": model.preset,
+            "alpha": model.alpha,
+            "beta": model.beta,
+            "gamma": model.gamma,
             "config_digest": cfg.digest(),
         },
         model=model,

@@ -12,6 +12,17 @@ implicit map monotone, so damped Newton with pointwise clamping inside
 (-1, 1) is robust; the barrier of F' itself keeps iterates off the pure
 phases.
 
+The Newton Jacobian is lagged (a chord iteration): a run keeps its last
+sparse LU, with the Sherman-Morrison correction of the mean term, across
+Newton iterations, rejected retries and accepted steps.  It refactors at the
+current iterate only when there is no LU yet, when dt has left
+[dt_f / 2, 2 dt_f] (dt_f being the dt of the last factorization), or when the
+previous step backtracked or shrank the residual less than 4-fold.  A lagged
+iterate stops only after a polish pass with a fresh LU, or at a residual of
+0.01 * newton_tol that also resolves the step's increment to CHORD_RTOL or
+sits at the roundoff floor.  The recorded ``newton_iters`` therefore counts
+chord iterations, and ``provenance["factorizations"]`` counts the LUs.
+
 Mass is conserved exactly: the committed update is phi + dt * RHS(phi+),
 whose discrete mean vanishes to roundoff (the flux form telescopes; the
 relaxation form subtracts the discrete mean of the whole right-hand side).
@@ -145,145 +156,17 @@ class Trajectory:
 
 
 # ---------------------------------------------------------------------------
-# operator assembly
+# lagged-LU Newton
 
-# The Jacobian I - dt[alpha L_m - beta I] dG with dG = -gamma L_a + diag(c)
-# always lives on one fixed sparsity pattern per (model, grid): patterns are
-# value-independent because the face weights are strictly positive.  The plan
-# below precomputes all scatter positions once, so a step only writes numbers
-# into preallocated arrays.
-
-
-def _face_pair_indices(grid: g.Grid):
-    """Per axis: cell index pairs (p, q) across each physical face."""
-    idx = np.arange(grid.n_cells).reshape(grid.shape)
-    pairs = []
-    for a, n in enumerate(grid.shape):
-        sl_lo = [slice(None)] * grid.dim
-        sl_lo[a] = slice(0, n - 1)
-        sl_hi = [slice(None)] * grid.dim
-        sl_hi[a] = slice(1, n)
-        p = idx[tuple(sl_lo)].ravel()
-        q = idx[tuple(sl_hi)].ravel()
-        if grid.bc == g.PERIODIC:
-            sl_last = [slice(None)] * grid.dim
-            sl_last[a] = n - 1
-            sl_first = [slice(None)] * grid.dim
-            sl_first[a] = 0
-            p = np.concatenate([p, idx[tuple(sl_last)].ravel()])
-            q = np.concatenate([q, idx[tuple(sl_first)].ravel()])
-        pairs.append((p, q))
-    return pairs
-
-
-def _face_weight_values(grid: g.Grid, faces: g.FaceField):
-    """Face weights per axis in the order of _face_pair_indices."""
-    out = []
-    for a, n in enumerate(grid.shape):
-        comp = faces.components[a]
-        w_int = [slice(None)] * grid.dim
-        w_int[a] = slice(1, n)
-        vals = comp[tuple(w_int)].ravel()
-        if grid.bc == g.PERIODIC:
-            w_wrap = [slice(None)] * grid.dim
-            w_wrap[a] = 0
-            vals = np.concatenate([vals, comp[tuple(w_wrap)].ravel()])
-        out.append(vals)
-    return out
-
-
-class _LaplacianTemplate:
-    """Reusable CSR matrix for div(w grad .) with in-place value refresh."""
-
-    def __init__(self, grid: g.Grid):
-        self.grid = grid
-        self.matrix = g.weighted_laplacian_matrix(grid, g.unit_face_weights(grid))
-        self.matrix.sort_indices()
-        n = grid.n_cells
-        keys = np.repeat(np.arange(n, dtype=np.int64),
-                         np.diff(self.matrix.indptr)) * n + self.matrix.indices
-        self.pairs = _face_pair_indices(grid)
-        self.slots = []
-        for a, (p, q) in enumerate(self.pairs):
-            pp = np.searchsorted(keys, p.astype(np.int64) * n + p)
-            pq = np.searchsorted(keys, p.astype(np.int64) * n + q)
-            qq = np.searchsorted(keys, q.astype(np.int64) * n + q)
-            qp = np.searchsorted(keys, q.astype(np.int64) * n + p)
-            self.slots.append((pp, pq, qq, qp))
-
-    def refresh(self, faces: g.FaceField):
-        data = self.matrix.data
-        data[:] = 0.0
-        weights = _face_weight_values(self.grid, faces)
-        for a, h in enumerate(self.grid.spacing):
-            c = weights[a] / (h * h)
-            pp, pq, qq, qp = self.slots[a]
-            np.add.at(data, pp, -c)
-            np.add.at(data, pq, c)
-            np.add.at(data, qq, -c)
-            np.add.at(data, qp, c)
-        return self.matrix
-
-
-def _csc_union(n: int, key_arrays):
-    keys = np.unique(np.concatenate(key_arrays))
-    indptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n).astype(np.int32)
-    indices = (keys % n).astype(np.int32)
-    return keys, indices, indptr
-
-
-def _csr_keys_csc(X, n: int) -> np.ndarray:
-    """col*n + row keys of a canonical CSR matrix."""
-    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(X.indptr))
-    return X.indices.astype(np.int64) * n + rows
-
-
-class _AssemblyPlan:
-    """All value-independent structure for one (model, grid) pair."""
-
-    def __init__(self, M: ph.ModelConfig, grid: g.Grid):
-        n = grid.n_cells
-        self.grid = grid
-        self.n = n
-        self.has_La = M.gamma > 0
-        self.has_Lm = M.alpha > 0
-        self.const_a = M.diffusion.is_constant
-        self.const_m = M.mobility.is_constant
-
-        self.La_tmpl = _LaplacianTemplate(grid) if self.has_La else None
-        self.Lm_tmpl = _LaplacianTemplate(grid) if self.has_Lm else None
-        key_arrays = [np.arange(n, dtype=np.int64) * (n + 1)]  # identity diagonal
-        prod = None
-        if self.has_La:
-            self.La_tmpl.refresh(g.unit_face_weights(grid))
-            key_arrays.append(_csr_keys_csc(self.La_tmpl.matrix, n))
-        if self.has_Lm:
-            self.Lm_tmpl.refresh(g.unit_face_weights(grid))
-            key_arrays.append(_csr_keys_csc(self.Lm_tmpl.matrix, n))
-        if self.has_La and self.has_Lm:
-            prod = (self.Lm_tmpl.matrix @ self.La_tmpl.matrix).tocsr()
-            prod.sort_indices()
-            key_arrays.append(_csr_keys_csc(prod, n))
-        keys, indices, indptr = _csc_union(n, key_arrays)
-        self.nnz = keys.size
-        self.A = sp.csc_matrix((np.zeros(keys.size), indices, indptr), shape=(n, n))
-        self.col_counts = np.diff(indptr)
-        self.I_data = np.zeros(keys.size)
-        self.I_data[np.searchsorted(keys, np.arange(n, dtype=np.int64) * (n + 1))] = 1.0
-        self.pos_La = (np.searchsorted(keys, _csr_keys_csc(self.La_tmpl.matrix, n))
-                       if self.has_La else None)
-        self.pos_Lm = (np.searchsorted(keys, _csr_keys_csc(self.Lm_tmpl.matrix, n))
-                       if self.has_Lm else None)
-        self.pos_prod = np.searchsorted(keys, _csr_keys_csc(prod, n)) if prod is not None else None
-        self.prod_nnz = prod.nnz if prod is not None else 0
-
-
-def _model_cache(M: ph.ModelConfig) -> dict:
-    cache = getattr(M, "_grid_operator_cache", None)
-    if cache is None:
-        cache = {}
-        M._grid_operator_cache = cache
-    return cache
+# Reuse an LU while dt is within this factor of its dt: beyond, stiff modes stop contracting.
+DT_WINDOW = 2.0
+# Refactor after a step shrinking the residual less than this: one LU then beats more chord steps.
+MIN_CONTRACTION = 4.0
+# A chord iterate also resolves the step's increment (~ its initial residual) to this accuracy,
+# since near steady state the fourth-order operator amplifies commit noise past steady_tol.
+CHORD_RTOL = 1e-8
+# Below this relative size the Sherman-Morrison denominator is cancellation noise.
+SM_DENOM_FLOOR = 1e-12
 
 
 def _check_convexity_floor(d2f: np.ndarray, theta: float):
@@ -296,63 +179,38 @@ def _check_convexity_floor(d2f: np.ndarray, theta: float):
 
 
 class _StepWorkspace:
-    """Operators frozen at the old state for one implicit solve.
+    """One run's operators, frozen at the last accepted state, and its LU.
 
-    Constant-coefficient operator values are assembled once per (model,
-    grid); with varying coefficients only plain array scatters and one sparse
-    product run per step.
+    ``freeze`` rebuilds the varying-coefficient Laplacians once per accepted
+    state; constant-coefficient ones are built once per workspace.  The LU
+    (with its Sherman-Morrison correction) outlives both Newton iterations
+    and steps: ``step`` refactors only when the lagged one stops paying.
     """
 
     def __init__(self, M: ph.ModelConfig, phi_field: g.Field):
-        grid = phi_field.grid
-        n = grid.n_cells
         self.M = M
-        self.grid = grid
         self.P = M.potential
-        self.n = n
+        self.n = phi_field.grid.n_cells
+        self.L_a = None
+        self.L_m = None
+        self.solve = None
+        self.dt_f = 0.0
+        self.factorizations = 0
+        self.freeze(phi_field)
+
+    def freeze(self, phi_field: g.Field):
+        """Freeze the coefficients and explicit terms at a newly accepted state."""
+        M = self.M
+        grid = phi_field.grid
         phi = phi_field.data
+        if M.gamma > 0 and (self.L_a is None or not M.diffusion.is_constant):
+            a_face = ph._coefficient_faces(M, phi_field, M.diffusion)
+            self.L_a = g.weighted_laplacian_matrix(grid, a_face)
+        if M.alpha > 0 and (self.L_m is None or not M.mobility.is_constant):
+            m_face = ph._coefficient_faces(M, phi_field, M.mobility)
+            self.L_m = g.weighted_laplacian_matrix(grid, m_face)
 
-        cache = _model_cache(M)
-        plan = cache.get(grid)
-        if plan is None:
-            plan = _AssemblyPlan(M, grid)
-            cache[grid] = plan
-        self.plan = plan
-
-        varying = (plan.has_La and not plan.const_a) or (plan.has_Lm and not plan.const_m)
-        if varying or not getattr(plan, "values_ready", False):
-            if plan.has_La:
-                a_face = ph._coefficient_faces(M, phi_field, M.diffusion)
-                plan.La_tmpl.refresh(a_face)
-            if plan.has_Lm:
-                m_face = ph._coefficient_faces(M, phi_field, M.mobility)
-                plan.Lm_tmpl.refresh(m_face)
-            lin = np.zeros(plan.nnz)
-            B = np.zeros(plan.nnz)
-            colsum_La = None
-            if plan.has_La and plan.has_Lm:
-                prod = plan.Lm_tmpl.matrix @ plan.La_tmpl.matrix
-                prod.sort_indices()
-                if prod.nnz != plan.prod_nnz:  # pattern is structurally fixed
-                    raise RuntimeError("operator product pattern changed")
-                lin[plan.pos_prod] += (M.alpha * M.gamma) * prod.data
-            if plan.has_La:
-                La = plan.La_tmpl.matrix
-                if M.beta > 0:
-                    lin[plan.pos_La] += -(M.beta * M.gamma) * La.data
-                colsum_La = np.bincount(La.indices, weights=La.data, minlength=n)
-            if plan.has_Lm:
-                B[plan.pos_Lm] += -M.alpha * plan.Lm_tmpl.matrix.data
-            if M.beta > 0:
-                B += M.beta * plan.I_data
-            plan.lin_data = lin
-            plan.B_data = B
-            plan.colsum_La = colsum_La
-            plan.values_ready = True
-        self.L_a = plan.La_tmpl.matrix if plan.has_La else None
-        self.L_m = plan.Lm_tmpl.matrix if plan.has_Lm else None
-
-        explicit = np.zeros(n)
+        explicit = np.zeros(self.n)
         if M.gamma > 0:
             da = np.asarray(M.diffusion.dfn(phi))
             if np.any(da):
@@ -384,36 +242,65 @@ class _StepWorkspace:
             return r
         return -M.beta * (mu - mu.mean())
 
+    def fits(self, dt: float) -> bool:
+        """Whether the lagged LU may serve a solve at this dt."""
+        return self.solve is not None and self.dt_f / DT_WINDOW <= dt <= self.dt_f * DT_WINDOW
+
     def jacobian_solver(self, x: np.ndarray, dt: float):
-        """LU of the sparse part plus rank-one correction of the mean term."""
+        """Factor the Jacobian at x and keep it as the workspace's LU.
+
+        The sparse part is A = I + dt (beta I - alpha L_m)(diag c - gamma L_a)
+        with c = F''(x) (+ w); the mean subtraction adds the rank-one term
+        -u v^T, u = dt beta / n, v = c (L_a has zero column sums), which
+        Sherman-Morrison folds into the solve.
+        """
         M = self.M
-        plan = self.plan
+        n = self.n
         c = np.asarray(self.P.d2F(x))
         _check_convexity_floor(c, self.P.theta)
         if self.w is not None:
             c = c + self.w
-        A = plan.A
-        A.data[:] = plan.I_data + dt * plan.lin_data \
-            + dt * plan.B_data * np.repeat(c, plan.col_counts)
-        lu = spla.splu(A)
+        eye = sp.identity(n, format="csr")
+        dmu = sp.diags(c, format="csr")
+        if self.L_a is not None:
+            dmu = dmu - M.gamma * self.L_a
+        drhs = M.beta * eye
+        if self.L_m is not None:
+            drhs = drhs - M.alpha * self.L_m
+        lu = spla.splu((eye + dt * (drhs @ dmu)).tocsc())
         if M.beta <= 0:
-            return lu.solve
-        # subtract the rank-one mean projection via Sherman-Morrison
-        v = c if plan.colsum_La is None else c - M.gamma * plan.colsum_La
-        u = np.full(self.n, dt * M.beta / self.n)
-        Ainv_u = lu.solve(u)
-        denom = 1.0 - float(v @ Ainv_u)
+            solve = lu.solve
+        else:
+            Ainv_u = lu.solve(np.full(n, dt * M.beta / n))
+            vAu = float(c @ Ainv_u)
+            denom = 1.0 - vAu
+            if not (np.isfinite(denom) and abs(denom) > SM_DENOM_FLOOR * (1.0 + abs(vAu))):
+                raise NewtonDivergenceError(
+                    f"Sherman-Morrison denominator {denom!r} (v.A^-1 u = {vAu!r}) "
+                    f"is not resolvable at dt={dt!r}",
+                )
 
-        def solve(b):
-            y = lu.solve(b)
-            return y + Ainv_u * (float(v @ y) / denom)
+            def solve(b):
+                y = lu.solve(b)
+                return y + Ainv_u * (float(c @ y) / denom)
 
+        self.solve = solve
+        self.dt_f = dt
+        self.factorizations += 1
         return solve
 
 
 def step(M: ph.ModelConfig, s: State, dt: float, cfg: StepperConfig,
          _workspace: _StepWorkspace | None = None) -> State:
-    """One semi-implicit step; raises NewtonDivergenceError / BoundsViolationError."""
+    """One semi-implicit step; raises NewtonDivergenceError / BoundsViolationError.
+
+    Newton with a lagged Jacobian: the workspace's LU is reused (a chord
+    step) until there is none, dt leaves its window, or the last step
+    backtracked or contracted the residual less than MIN_CONTRACTION-fold;
+    then the current iterate is refactored.  A chord step that would need
+    backtracking is redone with a fresh LU.  ``newton_iters`` of the result
+    counts chord and Newton passes alike.
+    """
     grid = s.phi.grid
     phi = s.phi.data
     limit = 1.0 - M.potential.eps_guard
@@ -421,54 +308,63 @@ def step(M: ph.ModelConfig, s: State, dt: float, cfg: StepperConfig,
     ws = _workspace if _workspace is not None else _StepWorkspace(M, s.phi)
 
     x = np.clip(phi, -limit, limit)
-    rhs = None
-    converged = False
-    iters = 0
+    rhs = ws.rhs_of(ws.mu_of(x))
+    resid = x - phi - dt * rhs
+    rnorm = r0 = float(np.linalg.norm(resid)) * sqrt_vol
+    fresh = True      # the last pass used an LU factored at its own iterate
+    refactor = False  # the last pass backtracked or contracted too little
+    polished = False  # the last pass was fresh and began below newton_tol
     for iters in range(cfg.newton_max_iter + 1):
-        mu = ws.mu_of(x)
-        rhs = ws.rhs_of(mu)
-        resid = x - phi - dt * rhs
-        rnorm = float(np.linalg.norm(resid)) * sqrt_vol
         if rnorm <= cfg.newton_tol:
-            if converged or rnorm <= 0.01 * cfg.newton_tol or iters >= cfg.newton_max_iter:
+            # a chord converges only linearly: its iterate must also resolve
+            # the step's own increment (CHORD_RTOL) or stall at roundoff
+            small = rnorm <= 0.01 * cfg.newton_tol and \
+                (fresh or refactor or rnorm <= CHORD_RTOL * r0)
+            if small or polished or iters >= cfg.newton_max_iter:
                 break
-            converged = True  # one extra polish pass makes the commit harmless
         elif iters >= cfg.newton_max_iter:
             raise NewtonDivergenceError(
                 f"no convergence in {cfg.newton_max_iter} iterations",
                 iterations=iters, residual=rnorm,
             )
-        solve = ws.jacobian_solver(x, dt)
-        delta = solve(-resid)
-        lam = 1.0
-        accepted = False
-        best = (rnorm, x, rhs)
-        for _ in range(cfg.max_backtracks):
-            xn = x + lam * delta
-            if np.max(np.abs(xn)) >= limit:
+        fresh = refactor or not ws.fits(dt)
+        solve = ws.jacobian_solver(x, dt) if fresh else ws.solve
+        while True:
+            delta = solve(-resid)
+            lam = 1.0
+            accepted = False
+            best = (rnorm, x, rhs)
+            for _ in range(cfg.max_backtracks if fresh else 1):
+                xn = x + lam * delta
+                if np.max(np.abs(xn)) >= limit:
+                    lam *= 0.5
+                    continue
+                rhs_n = ws.rhs_of(ws.mu_of(xn))
+                resid_n = xn - phi - dt * rhs_n
+                rn = float(np.linalg.norm(resid_n)) * sqrt_vol
+                if rn < best[0]:
+                    best = (rn, xn, rhs_n)
+                if rn <= cfg.newton_tol or rn < rnorm * (1.0 - 1e-4 * lam):
+                    accepted = True
+                    break
                 lam *= 0.5
-                continue
-            mu_n = ws.mu_of(xn)
-            rhs_n = ws.rhs_of(mu_n)
-            resid_n = xn - phi - dt * rhs_n
-            rn = float(np.linalg.norm(resid_n)) * sqrt_vol
-            if rn < best[0]:
-                best = (rn, xn, rhs_n)
-            if rn <= cfg.newton_tol or rn < rnorm * (1.0 - 1e-4 * lam):
-                x = xn
-                accepted = True
+            if accepted or fresh or rnorm <= 0.01 * cfg.newton_tol:
                 break
-            lam *= 0.5
+            solve = ws.jacobian_solver(x, dt)
+            fresh = True
         if not accepted:
-            if converged:
-                # the pre-polish iterate already met the tolerance; roundoff
-                # blocks further decrease, so keep the best point seen
+            if rnorm <= cfg.newton_tol:
+                # the iterate already met the tolerance; roundoff blocks
+                # further decrease, so keep the best point seen
                 rnorm, x, rhs = best
                 break
             raise NewtonDivergenceError(
                 "damping exhausted (iterate pinned at the singular barrier)",
                 iterations=iters, residual=rnorm,
             )
+        polished = fresh and rnorm <= cfg.newton_tol
+        refactor = lam < 1.0 or rn * MIN_CONTRACTION > rnorm
+        x, rhs, resid, rnorm = xn, rhs_n, resid_n, rn
 
     phi_new = phi + dt * rhs  # mass-exact commit: mean(rhs) telescopes to 0
     if np.max(np.abs(phi_new)) >= limit:
@@ -566,6 +462,12 @@ def run(M: ph.ModelConfig, phi0: g.Field, t_max: float, cfg: StepperConfig | Non
     t0 = _time.perf_counter()
     ws = _StepWorkspace(M, state.phi)
 
+    def finish(reason: str, complete: bool) -> Trajectory:
+        out = dict(prov, accepted=accepted, rejected=dict(rejected),
+                   factorizations=ws.factorizations,
+                   wall_time_s=_time.perf_counter() - t0, stop_reason=reason)
+        return rec.build(phi0.grid, out, M, complete)
+
     while state.t < t_max - 1e-14 * max(1.0, t_max):
         dt_step = min(dt, t_max - state.t)
         try:
@@ -576,8 +478,8 @@ def run(M: ph.ModelConfig, phi0: g.Field, t_max: float, cfg: StepperConfig | Non
             clean = 0
             dt *= 0.5
             if dt < cfg.dt_min:
-                traj = rec.build(phi0.grid, _finish(prov, rejected, accepted, t0, "step_floor"), M, False)
-                raise StepFloorError(f"dt fell below dt_min after {kind} failures", traj) from exc
+                raise StepFloorError(f"dt fell below dt_min after {kind} failures",
+                                     finish("step_floor", False)) from exc
             continue
 
         diag = _diagnose(M, new_state.phi)
@@ -586,13 +488,13 @@ def run(M: ph.ModelConfig, phi0: g.Field, t_max: float, cfg: StepperConfig | Non
             clean = 0
             dt *= 0.5
             if dt < cfg.dt_min:
-                traj = rec.build(phi0.grid, _finish(prov, rejected, accepted, t0, "step_floor"), M, False)
-                raise StepFloorError("dt fell below dt_min under dissipation violations", traj)
+                raise StepFloorError("dt fell below dt_min under dissipation violations",
+                                     finish("step_floor", False))
             continue
 
         state = new_state
         state.energy = diag["energy"]
-        ws = _StepWorkspace(M, state.phi)
+        ws.freeze(state.phi)
         accepted += 1
         snapshot = (accepted % cfg.snapshot_every == 0)
         e_prev, _ = rec.sample(state, dt_step, snapshot=snapshot, diag=diag)
@@ -614,7 +516,7 @@ def run(M: ph.ModelConfig, phi0: g.Field, t_max: float, cfg: StepperConfig | Non
 
     if not rec.snapshots or rec.snapshots[-1][0] < state.t:
         rec.snapshots.append((state.t, state.phi.copy()))
-    return rec.build(phi0.grid, _finish(prov, rejected, accepted, t0, stop_reason), M, True)
+    return finish(stop_reason, True)
 
 
 def _diagnose(M, phi: g.Field) -> dict:
@@ -641,12 +543,3 @@ def _diagnose(M, phi: g.Field) -> dict:
         "grad_mu_l2": float(np.sqrt(max(gm2, 0.0))),
         "mu_fluct_l2": float(np.sqrt(max(fluct2, 0.0))),
     }
-
-
-def _finish(prov, rejected, accepted, t0, reason):
-    out = dict(prov)
-    out["accepted"] = accepted
-    out["rejected"] = dict(rejected)
-    out["wall_time_s"] = _time.perf_counter() - t0
-    out["stop_reason"] = reason
-    return out

@@ -6,8 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from phaselab.analysis import classify_good_times
 from phaselab.cli import load_run, main
 from phaselab.config import ExperimentConfig, parse_config
+from phaselab.dynamics import run
 from phaselab.errors import ParseError, ValidationError
 
 MINIMAL_AC = """
@@ -139,6 +141,8 @@ class TestCLI:
         emitted = {p.name for p in out.iterdir() if p.name != "manifest.json"}
         assert emitted <= listed | {"manifest.json"}
         assert any(name.startswith("snap_") for name in listed)
+        summary = json.loads((out / "summary.json").read_text())
+        assert 1 <= summary["factorizations"] <= summary["accepted"]
 
     def test_simulate_deterministic_diagnostics(self, tmp_path):
         rc1, out1 = self.simulate(tmp_path)
@@ -167,6 +171,23 @@ class TestCLI:
         assert len(traj.snapshots) >= 2
         assert traj.model is not None
         assert traj.verify()["ok"]
+
+    def test_disk_and_memory_analysis_agree(self, tmp_path):
+        # alpha != 1 scales the implied good-time bound of a transport run
+        text = MINIMAL_AC.format(out=tmp_path / "ch").replace(
+            "preset = CONSERVED_AC", "preset = CH_NONLINEAR\nalpha = 2.0").replace(
+            "t_max = 2.0", "t_max = 0.05")
+        cfg_path = write_cfg(tmp_path, text)
+        assert main(["simulate", str(cfg_path)]) == 0
+        cfg = parse_config(cfg_path)
+        memory = run(cfg.build_model(), cfg.build_initial_field(cfg.build_grid()),
+                     cfg.t_max, cfg.build_stepper())
+        disk = load_run(tmp_path / "ch")
+        for M in (0.1, 1.0, 10.0):
+            a = classify_good_times(memory, M, 0.0, strict=False)
+            b = classify_good_times(disk, M, 0.0, strict=False)
+            assert a.implied_bound == b.implied_bound
+            assert a.bad_measure == b.bad_measure
 
     def test_lemmas_degiorgi(self, tmp_path, capsys):
         rc = main(["lemmas", "degiorgi", "--C", "1", "--b", "2", "--eps", "1",

@@ -1,5 +1,7 @@
 """Stepper and driver tests: fixed points, conservation, dissipation, adaptivity."""
 
+import types
+
 import numpy as np
 import pytest
 
@@ -21,7 +23,8 @@ from phaselab import (
     solve_equilibrium,
     step,
 )
-from phaselab.errors import StepFloorError
+from phaselab import dynamics
+from phaselab.errors import NewtonDivergenceError, StepFloorError
 
 
 def rng(seed=0):
@@ -195,3 +198,83 @@ class TestRun:
         assert np.max(np.abs(traj.mass - 0.1)) <= 1e-12
         assert traj.mu_fluct_l2[-1] < 1e-8
         assert traj.mu_fluct_l2[-1] < 1e-4 * traj.mu_fluct_l2.max()
+
+
+class TestLaggedJacobian:
+    def test_2d_ch_factors_less_than_once_per_step(self, monkeypatch):
+        seen = []
+        real = dynamics.spla.splu
+        monkeypatch.setattr(dynamics, "spla", types.SimpleNamespace(
+            splu=lambda A: seen.append(A) or real(A)))
+        M = ch_model()
+        grid = Grid((16, 16), (1.0, 1.0))
+        vals = rng(5).uniform(-0.05, 0.05, grid.n_cells)
+        cfg = StepperConfig(dt_init=1e-6, dt_max=1e-2, steady_tol=0.0)
+        traj = run(M, Field(grid, vals - vals.mean()), 1.3e-4, cfg)
+        steps = len(traj.times) - 1
+        assert traj.verify()["ok"]
+        assert steps >= 45
+        assert len(seen) < steps
+        assert traj.provenance["factorizations"] == len(seen)
+
+    @pytest.mark.parametrize("factory", [ch_model, ac_model, nl_model])
+    def test_stale_lu_step_matches_fresh_step(self, factory):
+        M = factory()
+        grid = Grid((64,), (1.0,))
+        s = State(Field(grid, 0.1 + 0.3 * np.cos(4 * np.pi * grid.axes()[0])))
+        cfg = StepperConfig()
+        dt = 1e-3
+        ws = dynamics._StepWorkspace(M, s.phi)
+        ws.jacobian_solver(s.phi.data, 0.6 * dt)
+        stale = step(M, s, dt, cfg, _workspace=ws)
+        fresh = step(M, s, dt, cfg)
+        assert norm_l2(Field(grid, stale.phi.data - fresh.phi.data)) <= 1e-12
+
+    @pytest.mark.parametrize("breakdown", ["nan", "zero"])
+    def test_sherman_morrison_breakdown_raises(self, monkeypatch, breakdown):
+        M = ac_model()
+        grid = Grid((16,), (1.0,))
+        dt = 1e-3
+        s = State(Field(grid, 0.2 + 0.01 * np.cos(2 * np.pi * grid.axes()[0])))
+        # with A^-1 = scale * I, v.A^-1 u = scale * dt * beta * mean(F''(phi)),
+        # so this stub LU puts the denominator 1 - v.A^-1 u at zero
+        c = np.asarray(M.potential.d2F(s.phi.data))
+        scale = np.nan if breakdown == "nan" else 1.0 / (dt * M.beta * c.mean())
+        stub = types.SimpleNamespace(solve=lambda b: scale * b)
+        monkeypatch.setattr(dynamics, "spla", types.SimpleNamespace(splu=lambda A: stub))
+        with pytest.raises(NewtonDivergenceError, match="Sherman-Morrison"):
+            step(M, s, dt, StepperConfig())
+
+    def test_sherman_morrison_breakdown_is_rejected_and_retried(self, monkeypatch):
+        real = dynamics.spla.splu
+        calls = []
+
+        def splu(A):
+            calls.append(A)
+            if len(calls) == 1:
+                return types.SimpleNamespace(solve=lambda b: np.full_like(b, np.nan))
+            return real(A)
+
+        monkeypatch.setattr(dynamics, "spla", types.SimpleNamespace(splu=splu))
+        M = ac_model(theta=0.8, gamma=0.02)
+        grid = Grid((32,), (1.0,))
+        phi0 = Field(grid, 0.1 + 0.02 * np.cos(2 * np.pi * grid.axes()[0]))
+        cfg = StepperConfig(dt_init=1e-3, dt_max=1e-3, steady_tol=0.0)
+        traj = run(M, phi0, 0.01, cfg)
+        assert traj.provenance["rejected"]["newton"] == 1
+        assert traj.provenance["factorizations"] == len(calls) - 1
+        assert traj.verify()["ok"]
+        assert traj.times[-1] == pytest.approx(0.01)
+
+    def test_changed_model_constant_takes_effect(self):
+        grid = Grid((64,), (1.0,))
+        phi0 = Field(grid, 0.1 + 0.3 * np.cos(4 * np.pi * grid.axes()[0]))
+        cfg = StepperConfig(dt_init=1e-4, dt_max=1e-2, steady_tol=0.0)
+        M = ac_model(gamma=0.01)
+        run(M, phi0, 0.05, cfg)
+        M.gamma = 0.02
+        reused = run(M, phi0, 0.05, cfg)
+        fresh = run(ac_model(gamma=0.02), phi0, 0.05, cfg)
+        assert np.array_equal(reused.times, fresh.times)
+        assert np.array_equal(reused.energy, fresh.energy)
+        assert np.array_equal(reused.snapshots[-1][1].data, fresh.snapshots[-1][1].data)
