@@ -19,10 +19,6 @@ class PotentialDomainError(PhaselabError):
     """
 
 
-class SolverConvergenceError(PhaselabError):
-    """An iterative linear solver failed to reach its tolerance."""
-
-
 class NewtonDivergenceError(PhaselabError):
     """Newton iteration exhausted its budget; retry with a smaller step."""
 

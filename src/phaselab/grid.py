@@ -18,14 +18,12 @@ Conventions:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
-from scipy.signal import fftconvolve
+from scipy import fft as sp_fft
 
-from .errors import GridMismatchError, SolverConvergenceError
+from .errors import GridMismatchError
 
 NEUMANN = "neumann"
 PERIODIC = "periodic"
@@ -331,38 +329,24 @@ def unit_face_weights(grid: Grid) -> FaceField:
     return FaceField(grid, comps)
 
 
-@lru_cache(maxsize=32)
-def _neumann_laplacian(grid: Grid) -> sp.csr_matrix:
-    return weighted_laplacian_matrix(grid, unit_face_weights(grid))
-
-
-def norm_hminus1(u: Field, tol: float = 1e-10, maxiter: int | None = None) -> float:
+def norm_hminus1(u: Field) -> float:
     """Discrete H^{-1} norm of the mean-zero part of u.
 
-    Solves -lap(v) = u - mean(u) with the grid's boundary mode via conjugate
-    gradients (diagonal preconditioning, relative residual <= tol) and returns
-    sqrt((u - mean(u), v)).
+    The cell-centred Laplacian with the grid's boundary mode is diagonal in
+    the orthonormal DCT-II (Neumann) or Fourier (periodic) basis, with per-axis
+    eigenvalues (2/h sin(pi k/2n))^2 or (2/h sin(pi k/n))^2 summed over axes.
+    Dropping the zero mode, (u - mean(u), -lap^{-1}(u - mean(u))) is
+    vol * sum |u_k|^2 / lam_k.
     """
     grid = u.grid
-    b = u.data - u.data.mean()
-    if not np.any(b):
-        return 0.0
-    A = -_neumann_laplacian(grid)
-    diag = A.diagonal()
-    M = sp.diags(1.0 / diag)
-    if maxiter is None:
-        maxiter = max(200, 20 * grid.n_cells)
-    try:
-        v, info = spla.cg(A, b, rtol=tol, atol=0.0, maxiter=maxiter, M=M)
-    except TypeError:  # scipy < 1.12 kwarg spelling
-        v, info = spla.cg(A, b, tol=tol, atol=0.0, maxiter=maxiter, M=M)
-    if info != 0:
-        raise SolverConvergenceError(
-            f"H^-1 Poisson solve did not reach rtol={tol} in {maxiter} iterations"
-        )
-    v = v - v.mean()
-    val = float(np.dot(b, v)) * grid.cell_volume
-    return float(np.sqrt(max(val, 0.0)))
+    b = (u.data - u.data.mean()).reshape(grid.shape)
+    periodic = grid.bc == PERIODIC
+    coef = sp_fft.fftn(b, norm="ortho") if periodic else sp_fft.dctn(b, type=2, norm="ortho")
+    per_axis = [((2.0 / h) * np.sin(np.pi * np.arange(n) / (n if periodic else 2 * n))) ** 2
+                for n, h in zip(grid.shape, grid.spacing)]
+    lam = sum(np.meshgrid(*per_axis, indexing="ij", sparse=True))
+    lam.flat[0] = np.inf
+    return float(np.sqrt(np.sum(np.abs(coef) ** 2 / lam) * grid.cell_volume))
 
 
 class KernelMatrix:
@@ -370,8 +354,9 @@ class KernelMatrix:
 
     ``K[i][j] = J(x_i - x_j) * cellVolume``; because the grid is uniform the
     matrix is (block-)Toeplitz, so the matvec equals a zero-padded discrete
-    convolution, evaluated with an FFT.  The dense matrix is materialized
-    lazily and serves as the reference path.
+    convolution.  The stencil spectrum is computed once, on the padded shape
+    ``next_fast_len(3n - 2)`` per axis that ``fftconvolve(mode="same")`` uses,
+    so each apply is one forward and one inverse real FFT.
     """
 
     def __init__(self, grid: Grid, stencil: np.ndarray, grad_l1: float = float("nan")):
@@ -384,7 +369,9 @@ class KernelMatrix:
         self.grid = grid
         self.stencil = stencil
         self.grad_l1 = float(grad_l1)
-        self._dense = None
+        self._fshape = tuple(sp_fft.next_fast_len(3 * n - 2, real=True) for n in grid.shape)
+        self._spectrum = sp_fft.rfftn(stencil, self._fshape)
+        self._window = tuple(slice(n - 1, 2 * n - 1) for n in grid.shape)
         self._row_sums = None
 
     @classmethod
@@ -400,48 +387,24 @@ class KernelMatrix:
             r = np.sqrt(ox * ox + oy * oy)
         return cls(grid, profile(r) * grid.cell_volume, grad_l1)
 
-    @property
-    def dense(self) -> np.ndarray:
-        if self._dense is None:
-            shape = self.grid.shape
-            if self.grid.dim == 1:
-                i = np.arange(shape[0])
-                off = i[:, None] - i[None, :] + (shape[0] - 1)
-                self._dense = self.stencil[off]
-            else:
-                nx, ny = shape
-                ix, iy = np.divmod(np.arange(nx * ny), ny)
-                dx = ix[:, None] - ix[None, :] + (nx - 1)
-                dy = iy[:, None] - iy[None, :] + (ny - 1)
-                self._dense = self.stencil[dx, dy]
-        return self._dense
-
     def apply_values(self, values: np.ndarray) -> np.ndarray:
-        """Fast convolution path on flat cell values."""
-        u = values.reshape(self.grid.shape)
-        out = fftconvolve(u, self.stencil, mode="same")
-        return out.ravel()
-
-    def apply_dense(self, values: np.ndarray) -> np.ndarray:
-        return self.dense @ values
+        """sum_j K[i][j] values_j on flat cell values."""
+        u = sp_fft.rfftn(values.reshape(self.grid.shape), self._fshape)
+        out = sp_fft.irfftn(u * self._spectrum, self._fshape)
+        return out[self._window].ravel()
 
     @property
     def row_sums(self) -> np.ndarray:
-        """(J * 1)(x_i); computed through the fast path."""
+        """(J * 1)(x_i)."""
         if self._row_sums is None:
             self._row_sums = self.apply_values(np.ones(self.grid.n_cells))
         return self._row_sums
 
 
-def convolve(K: KernelMatrix, phi: Field, dense: bool = False) -> Field:
-    """(J * phi)(x_i) = sum_j K[i][j] phi_j.
-
-    The default FFT path agrees with the dense matrix to ~1e-13 relative.
-    """
+def convolve(K: KernelMatrix, phi: Field) -> Field:
+    """(J * phi)(x_i) = sum_j K[i][j] phi_j."""
     if K.grid != phi.grid:
         raise GridMismatchError("kernel matrix built on a different grid")
-    if dense:
-        return Field(phi.grid, K.apply_dense(phi.data))
     return Field(phi.grid, K.apply_values(phi.data))
 
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import brentq
 from scipy.special import xlogy
 
 from . import grid as g
@@ -133,7 +134,6 @@ class PotentialSpec:
         psi = np.asarray(psi, dtype=float)
         if self.kind == "logarithmic":
             return np.tanh(psi / self.theta)
-        from scipy.optimize import brentq
         lo, hi = -1.0 + self.eps_guard, 1.0 - self.eps_guard
         flat = np.atleast_1d(psi).ravel()
         out = np.empty_like(flat)

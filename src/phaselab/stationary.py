@@ -7,9 +7,13 @@ solver treats (phi, mu_inf) as a bordered Newton system
     [ d(mu)/d(phi)   -1 ] [ d_phi    ]   [ mu(phi) - mu_inf ]
     [ mean-row        0 ] [ d_mu_inf ] = [ mean(phi) - k    ]
 
-with the same pointwise clamping as the dynamic stepper.  Stationary states
-are generally non-unique; which one is found depends on the initial guess,
-so seeds are first-class inputs and get recorded with the result.
+with the same pointwise clamping as the dynamic stepper.  The bordered
+Jacobian is never formed densely: its local part (the potential diagonal, the
+frozen-coefficient diffusion stencil and the border) is a sparse matrix
+factored by SuperLU; a convolution kernel adds a part that is applied by FFT,
+and GMRES preconditioned by the local LU solves the full system.  Stationary
+states are generally non-unique; which one is found depends on the initial
+guess, so seeds are first-class inputs and get recorded with the result.
 """
 
 from __future__ import annotations
@@ -17,6 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+from scipy.optimize import brentq
 
 from . import grid as g
 from . import physics as ph
@@ -58,32 +65,67 @@ def stationary_residual(M: ph.ModelConfig, phi: g.Field, mu_c: float) -> g.Field
     return g.Field(phi.grid, mu.data - mu_c)
 
 
-def _mu_jacobian(M: ph.ModelConfig, phi: g.Field) -> np.ndarray:
-    """Dense linearization of the chemical potential.
+# GMRES settings of the bordered solve with a kernel part.  The nonlinear
+# residual decides convergence; these only make each step an exact Newton step.
+GMRES_RTOL = 1e-13      # at roundoff level, so Newton iteration counts match an exact solve
+GMRES_RESTART = 100     # the LU-preconditioned kernel operator converges well within one cycle
+GMRES_MAXITER = 20      # restart cycles; more means the linear solve is failing, not slow
 
-    The nonlinear-diffusion coefficient is frozen at the current iterate
-    (re-linearized every step); the a' gradient-square derivative is dropped,
-    trading quadratic convergence for robustness.
+
+class _BorderedJacobian:
+    """Bordered stationary Jacobian [[diag(d) + S, -1], [r, 0]] (- kernel part).
+
+    The sparse local part lives on a CSC pattern built once from ``S``; each
+    solve writes only the diagonal and the border row into ``.data``, and
+    ``set_local`` only the values of an ``S`` with the same pattern, because
+    rebuilding the pattern costs more than a 1D factorization.  Without a
+    kernel the local part is the whole Jacobian and its LU solves directly.
+    With one, the Jacobian gains ``-K (t * v)`` in its first n rows and GMRES
+    solves with that LU as preconditioner, applying K by FFT.
     """
-    grid = phi.grid
-    n = grid.n_cells
-    P = M.potential
-    d2 = np.asarray(P.d2F(phi.data))
-    if float(d2.min()) < P.theta * (1.0 - 1e-9):
-        raise ValidationError("F'' dipped below theta during Jacobian assembly")
-    J = np.diag(d2)
-    if M.sigma1:
-        J -= P.theta0 * np.eye(n)
-    if M.gamma > 0:
-        a_face = ph._coefficient_faces(M, phi, M.diffusion)
-        L_a = g.weighted_laplacian_matrix(grid, a_face)
-        J -= M.gamma * L_a.toarray()
-    if M.sigma2:
-        K = M.kernel.matrix(grid)
-        J -= K.dense
-        if M.nonlocal_consistency:
-            J += np.diag(K.row_sums)
-    return J
+
+    def __init__(self, S: sp.spmatrix):
+        n = S.shape[0]
+        A = sp.bmat([[S, np.full((n, 1), -1.0)], [np.ones((1, n)), None]], format="csc")
+        A.sort_indices()
+        col = np.repeat(np.arange(n + 1), np.diff(A.indptr))
+        border = A.indices == n
+        self._diag = np.flatnonzero(A.indices == col)
+        self._border = np.flatnonzero(border)
+        self._local = np.flatnonzero(~border & (col < n))     # S's entries in CSC order
+        self._base = A.data[self._diag].copy()
+        self.A = A
+
+    def set_local(self, S: sp.spmatrix):
+        self.A.data[self._local] = S.tocsc().data
+        self._base = self.A.data[self._diag].copy()
+
+    def solve(self, d, r, rhs, K, t, iters: int, rnorm: float) -> np.ndarray:
+        A = self.A
+        n = A.shape[0] - 1
+        A.data[self._diag] = self._base + d
+        A.data[self._border] = r
+        try:
+            lu = spla.splu(A)
+        except RuntimeError as exc:
+            raise NewtonDivergenceError("singular stationary Jacobian",
+                                        iterations=iters, residual=rnorm) from exc
+        if K is None:
+            return lu.solve(rhs)
+
+        def matvec(v):
+            out = A @ v
+            out[:n] -= K.apply_values(t * v[:n])
+            return out
+
+        op = spla.LinearOperator(A.shape, matvec=matvec)
+        pre = spla.LinearOperator(A.shape, matvec=lu.solve)
+        x, info = spla.gmres(op, rhs, rtol=GMRES_RTOL, atol=0.0, restart=GMRES_RESTART,
+                             maxiter=GMRES_MAXITER, M=pre)
+        if info != 0:
+            raise NewtonDivergenceError("stationary GMRES did not converge",
+                                        iterations=iters, residual=rnorm)
+        return x
 
 
 def solve_equilibrium(M: ph.ModelConfig, k: float, guess: g.Field,
@@ -101,9 +143,14 @@ def solve_equilibrium(M: ph.ModelConfig, k: float, guess: g.Field,
         return _solve_equilibrium_entropy(M, k, guess, tol, max_iter, seed_id)
     grid = guess.grid
     n = grid.n_cells
-    eps = M.potential.eps_guard
+    P = M.potential
+    eps = P.eps_guard
     limit = 1.0 - eps
     sqrt_vol = np.sqrt(grid.cell_volume)
+    K = M.kernel.matrix(grid) if M.sigma2 else None
+    shift = -P.theta0 * M.sigma1
+    if K is not None and M.nonlocal_consistency:
+        shift = shift + K.row_sums
 
     x = np.clip(guess.data.copy(), -limit + eps, limit - eps)
     mu_c = float(ph.chemical_potential(M, g.Field(grid, x)).data.mean())
@@ -114,20 +161,26 @@ def solve_equilibrium(M: ph.ModelConfig, k: float, guess: g.Field,
         return r1, r2, float(np.sqrt(np.dot(r1, r1) * grid.cell_volume + r2 * r2))
 
     r1, r2, rnorm = total_residual(x, mu_c)
+    jac = None
     iters = 0
     for iters in range(1, max_iter + 1):
         if rnorm <= tol and abs(r2) <= 1e-12:
             break
-        J = np.zeros((n + 1, n + 1))
-        J[:n, :n] = _mu_jacobian(M, g.Field(grid, x))
-        J[:n, n] = -1.0
-        J[n, :n] = 1.0 / n
+        # the diffusion coefficient is frozen at the iterate and its a'
+        # gradient-square derivative dropped, trading quadratic convergence
+        # for robustness
+        if jac is None or not M.diffusion.is_constant:
+            a_face = ph._coefficient_faces(M, g.Field(grid, x), M.diffusion)
+            S = -M.gamma * g.weighted_laplacian_matrix(grid, a_face)
+            if jac is None:
+                jac = _BorderedJacobian(S)
+            else:
+                jac.set_local(S)
+        d2 = np.asarray(P.d2F(x))
+        if float(d2.min()) < P.theta * (1.0 - 1e-9):
+            raise ValidationError("F'' dipped below theta during Jacobian assembly")
         rhs = np.concatenate([-r1, [-r2]])
-        try:
-            delta = np.linalg.solve(J, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise NewtonDivergenceError("singular stationary Jacobian",
-                                        iterations=iters, residual=rnorm) from exc
+        delta = jac.solve(d2 + shift, 1.0 / n, rhs, K, 1.0, iters, rnorm)
         lam = 1.0
         accepted = False
         for _ in range(40):
@@ -168,7 +221,7 @@ def _solve_equilibrium_entropy(M: ph.ModelConfig, k: float, guess: g.Field,
 
     The stationary system reads psi - sigma1 theta0 T(psi) - sigma2 J*T(psi)
     [+ sigma2 w T(psi)] = mu_inf with T = (F')^{-1}; T' = 1/F''(T) <= 1/theta
-    keeps the dense Jacobian well conditioned and iterates unconstrained.
+    keeps the Jacobian well conditioned and iterates unconstrained.
     """
     grid = guess.grid
     n = grid.n_cells
@@ -198,28 +251,15 @@ def _solve_equilibrium_entropy(M: ph.ModelConfig, k: float, guess: g.Field,
         return r1, r2, float(np.sqrt(np.dot(r1, r1) * grid.cell_volume + r2 * r2))
 
     r1, r2, rnorm = residuals(psi, phi, mu_c)
+    jac = _BorderedJacobian(sp.identity(n, format="csc"))
+    shift = -P.theta0 * M.sigma1 + (w if w is not None else 0.0)
     iters = 0
     for iters in range(1, max_iter + 1):
         if rnorm <= tol and abs(r2) <= 1e-12:
             break
         Tp = 1.0 / np.asarray(P.d2F(phi))
-        J = np.zeros((n + 1, n + 1))
-        body = np.eye(n)
-        if M.sigma1:
-            body -= P.theta0 * np.diag(Tp)
-        if K is not None:
-            body -= K.dense * Tp[None, :]
-            if w is not None:
-                body += np.diag(w * Tp)
-        J[:n, :n] = body
-        J[:n, n] = -1.0
-        J[n, :n] = Tp / n
         rhs = np.concatenate([-r1, [-r2]])
-        try:
-            delta_step = np.linalg.solve(J, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise NewtonDivergenceError("singular stationary Jacobian",
-                                        iterations=iters, residual=rnorm) from exc
+        delta_step = jac.solve(shift * Tp, Tp / n, rhs, K, Tp, iters, rnorm)
         lam = 1.0
         accepted = False
         for _ in range(60):
@@ -278,8 +318,6 @@ def bulk_root(potential, tol: float = 1e-13) -> float:
     Layer profiles plateau near +-this value; seeding there keeps Newton off
     the long valley between the mixed state and the singular barrier.
     """
-    from scipy.optimize import brentq
-
     def fprime(s):
         return float(potential.dF(s)) - potential.theta0 * s
 

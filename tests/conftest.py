@@ -64,6 +64,19 @@ def make_synthetic_trajectory(times, *, grid=None, grad_mu=None, mu_fluct=None,
     )
 
 
+def dense_kernel(K) -> np.ndarray:
+    """Dense ``K[i][j] = stencil[x_i - x_j]`` of a KernelMatrix (test oracle)."""
+    shape = K.grid.shape
+    if K.grid.dim == 1:
+        i = np.arange(shape[0])
+        return K.stencil[i[:, None] - i[None, :] + (shape[0] - 1)]
+    nx, ny = shape
+    ix, iy = np.divmod(np.arange(nx * ny), ny)
+    dx = ix[:, None] - ix[None, :] + (nx - 1)
+    dy = iy[:, None] - iy[None, :] + (ny - 1)
+    return K.stencil[dx, dy]
+
+
 @pytest.fixture(scope="session")
 def synthetic_trajectory_factory():
     return make_synthetic_trajectory

@@ -1,6 +1,9 @@
 """Config parsing/round-trip and end-to-end CLI commands."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -249,3 +252,15 @@ class TestCLI:
         rc = main(["simulate", str(cfg_path)])
         assert rc == 0
         assert (tmp_path / "root" / "rel_run" / "manifest.json").exists()
+
+
+def test_cli_import_leaves_signal_and_stats_out():
+    # scipy.signal pulls in scipy.stats, most of the CLI's start-up time
+    code = ("import sys, phaselab.cli; "
+            "print(sorted(m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules))")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"

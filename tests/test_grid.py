@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.signal import fftconvolve
 
 from phaselab import (
     Field,
@@ -19,6 +20,7 @@ from phaselab import (
 )
 from phaselab.grid import FaceField, face_average, face_sum, unit_face_weights, weighted_laplacian_matrix
 from phaselab.errors import GridMismatchError
+from conftest import dense_kernel
 
 
 def rng(seed=0):
@@ -188,6 +190,18 @@ class TestHMinus1:
             nuv = norm_hminus1(Field(grid, u + v))
             assert nuv <= nu + nv + 1e-9
 
+    @pytest.mark.parametrize("shape", [(32,), (9, 14)])
+    @pytest.mark.parametrize("bc", ["neumann", "periodic"])
+    def test_matches_pseudo_inverse_oracle(self, shape, bc):
+        grid = Grid(shape, tuple(0.7 + a for a in range(len(shape))), bc)
+        A = -weighted_laplacian_matrix(grid, unit_face_weights(grid)).toarray()
+        r = rng(14)
+        for _ in range(3):
+            u = r.uniform(-1, 1, grid.n_cells)
+            b = u - u.mean()
+            expected = np.sqrt(b @ np.linalg.pinv(A) @ b * grid.cell_volume)
+            assert norm_hminus1(Field(grid, u)) == pytest.approx(expected, rel=1e-12)
+
     def test_mean_removed_automatically(self):
         grid = Grid((32,), (1.0,))
         u = rng(7).uniform(-1, 1, 32)
@@ -202,8 +216,8 @@ class TestKernelMatrix:
 
     def test_symmetry(self):
         grid = Grid((16,), (1.0,))
-        K = KernelMatrix.from_profile(grid, self.gaussian_profile())
-        assert np.max(np.abs(K.dense - K.dense.T)) == 0.0
+        K = dense_kernel(KernelMatrix.from_profile(grid, self.gaussian_profile()))
+        assert np.max(np.abs(K - K.T)) == 0.0
 
     def test_symmetry_structural_for_any_radial_profile(self):
         # evenness comes from sampling |x_i - x_j|, not from the profile
@@ -216,8 +230,8 @@ class TestKernelMatrix:
 
         for shape in ((11,), (5, 7)):
             grid = Grid(shape, tuple(1.0 for _ in shape))
-            K = KernelMatrix.from_profile(grid, jagged)
-            assert np.max(np.abs(K.dense - K.dense.T)) == 0.0
+            K = dense_kernel(KernelMatrix.from_profile(grid, jagged))
+            assert np.max(np.abs(K - K.T)) == 0.0
 
     def test_row_sums_nonnegative(self):
         grid = Grid((16,), (1.0,))
@@ -238,8 +252,8 @@ class TestKernelMatrix:
         j = 5
         e = np.zeros(12)
         e[j] = 1.0
-        out = convolve(K, Field(grid, e), dense=True)
-        assert np.allclose(out.data, K.dense[:, j], atol=1e-15)
+        out = convolve(K, Field(grid, e))
+        assert np.allclose(out.data, dense_kernel(K)[:, j], atol=1e-15)
 
     def test_self_adjointness_brute_force(self):
         grid = Grid((16,), (1.0,))
@@ -257,8 +271,16 @@ class TestKernelMatrix:
         K = KernelMatrix.from_profile(grid, self.gaussian_profile())
         u = rng(9).uniform(-1, 1, grid.n_cells)
         fast = K.apply_values(u)
-        dense = K.apply_dense(u)
+        dense = dense_kernel(K) @ u
         assert np.max(np.abs(fast - dense)) <= 1e-10
+
+    @pytest.mark.parametrize("shape", [(128,), (40, 40), (64, 64), (5, 9)])
+    def test_fast_path_equals_fftconvolve_bitwise(self, shape):
+        grid = Grid(shape, tuple(1.0 for _ in shape))
+        K = KernelMatrix.from_profile(grid, self.gaussian_profile())
+        u = rng(12).uniform(-1, 1, grid.n_cells)
+        ref = fftconvolve(u.reshape(shape), K.stencil, mode="same").ravel()
+        assert np.array_equal(K.apply_values(u), ref)
 
 
 class TestFieldIO:

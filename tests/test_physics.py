@@ -21,6 +21,7 @@ from phaselab import (
     nonlocal_cahn_hilliard,
 )
 from phaselab.errors import PotentialDomainError, ValidationError
+from conftest import dense_kernel
 
 
 def rng(seed=0):
@@ -183,7 +184,7 @@ class TestChemicalPotential:
                                    nonlocal_consistency=False)
         grid = Grid((8,), (1.0,))
         phi = Field(grid, rng(1).uniform(-0.9, 0.9, 8))
-        K = ker.matrix(grid).dense
+        K = dense_kernel(ker.matrix(grid))
         oracle = np.array([
             float(P.dF(phi.data[i])) - sum(K[i, j] * phi.data[j] for j in range(8))
             for i in range(8)
@@ -229,7 +230,7 @@ class TestEnergy:
         M = nonlocal_cahn_hilliard(P, MobilitySpec.constant(1.0), ker)
         grid = Grid((12,), (1.0,))
         phi = Field(grid, rng(3).uniform(-0.8, 0.8, 12))
-        K = ker.matrix(grid).dense
+        K = dense_kernel(ker.matrix(grid))
         vol = grid.cell_volume
         brute = 0.25 * sum(
             K[i, j] * (phi.data[i] - phi.data[j]) ** 2

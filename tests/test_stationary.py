@@ -1,5 +1,7 @@
 """Stationary solves: constant branches, interface layers, separation checks."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from phaselab import (
     Grid,
     KernelSpec,
     MobilitySpec,
+    ModelConfig,
     PotentialSpec,
     State,
     StepperConfig,
@@ -23,7 +26,11 @@ from phaselab import (
     stationary_residual,
     step,
 )
+from phaselab import stationary
+from phaselab.errors import NewtonDivergenceError
+from phaselab.grid import face_average, weighted_laplacian_matrix
 from phaselab.stationary import equilibrium_seeds
+from conftest import dense_kernel
 
 
 def log_potential(theta=0.3, theta0=1.0):
@@ -130,6 +137,119 @@ class TestSolve:
         eq = solve_equilibrium(M, 0.0, tanh_seed(grid, width=0.02), tol=1e-12)
         out = step(M, State(eq.phi_inf), dt, StepperConfig())
         assert norm_l2(Field(grid, out.phi.data - eq.phi_inf.data)) <= 1e-8
+
+
+def dense_equilibrium(M, k, guess, tol=1e-12, max_iter=80):
+    """Damped bordered Newton with the dense (n+1)^2 Jacobian (test oracle).
+
+    Iterates on phi for gamma > 0 and on psi = F'(phi) for gamma = 0, with the
+    diffusion coefficient frozen at the iterate, like the library solver.
+    """
+    grid = guess.grid
+    n = grid.n_cells
+    vol = grid.cell_volume
+    P = M.potential
+    entropy = M.gamma == 0
+    Kd = dense_kernel(M.kernel.matrix(grid)) if M.sigma2 else np.zeros((n, n))
+    w = Kd.sum(axis=1) if M.sigma2 and M.nonlocal_consistency else np.zeros(n)
+    phi_of = P.inverse_dF if entropy else (lambda z: z)
+    z = P.dF(np.clip(guess.data, -1 + 1e-14, 1 - 1e-14)) if entropy else guess.data.copy()
+
+    def residual(z, mu_c):
+        phi = phi_of(z)
+        r = np.append(chemical_potential(M, Field(grid, phi)).data - mu_c, phi.mean() - k)
+        return r, np.sqrt(r[:n] @ r[:n] * vol + r[n] ** 2)
+
+    mu_c = chemical_potential(M, Field(grid, phi_of(z))).data.mean()
+    r, rnorm = residual(z, mu_c)
+    for _ in range(max_iter):
+        if rnorm <= tol:
+            break
+        phi = phi_of(z)
+        J_mu = np.diag(P.d2F(phi) - M.sigma1 * P.theta0 + w) - Kd
+        if M.gamma > 0:
+            a_face = face_average(Field(grid, M.diffusion(phi)), M.face_mode)
+            J_mu -= M.gamma * weighted_laplacian_matrix(grid, a_face).toarray()
+        dphi = 1.0 / P.d2F(phi) if entropy else np.ones(n)
+        J = np.zeros((n + 1, n + 1))
+        J[:n, :n] = J_mu * dphi[None, :]
+        J[:n, n] = -1.0
+        J[n, :n] = dphi / n
+        dz = np.linalg.solve(J, -r)
+        lam = 1.0
+        while lam > 1e-12:
+            zn = z + lam * dz[:n]
+            if entropy or np.max(np.abs(zn)) < 1 - 1e-14:
+                rn, rnn = residual(zn, mu_c + lam * dz[n])
+                if rnn < rnorm * (1 - 1e-4 * lam):
+                    z, mu_c, r, rnorm = zn, mu_c + lam * dz[n], rn, rnn
+                    break
+            lam *= 0.5
+        else:
+            raise AssertionError("oracle damping exhausted")
+    assert rnorm <= tol
+    return phi_of(z), mu_c
+
+
+def _oracle_cases():
+    P = log_potential()
+    mob = MobilitySpec.polynomial([1.0, 0.0, -0.5], m_star=0.5)
+    dif = DiffusionSpec.polynomial([1.0, 0.0, 0.5], a_star=1.0)
+    g64 = Grid((64,), (1.0,))
+    g128 = Grid((128,), (1.0,))
+    nl_on = nonlocal_cahn_hilliard(P, mob, KernelSpec("gaussian", scale=0.1))
+    nl_off = nonlocal_cahn_hilliard(P, mob, KernelSpec("gaussian", scale=0.08),
+                                    nonlocal_consistency=False)
+    general = ModelConfig(1, 0, 1e-2, 1, 1, P, mob, dif,
+                          kernel=KernelSpec("gaussian", scale=0.1))
+    return {
+        "ch_varying_diffusion": (deep_quench_ch(), 0.0,
+                                 tanh_seed(g64, width=0.02)),
+        "ch_varying_diffusion_2d": (deep_quench_ch(gamma=1e-2), 0.0,
+                                    dict(equilibrium_seeds(Grid((16, 16), (1.0, 1.0)), 0.0,
+                                                           potential=P))["tanh_mid"]),
+        "ac": (conserved_allen_cahn(P, beta=1.0, gamma=1e-3), 0.1,
+               dict(equilibrium_seeds(g64, 0.1, potential=P))["tanh_mid"]),
+        "nl_consistent": (nl_on, 0.1,
+                          dict(equilibrium_seeds(Grid((16, 16), (1.0, 1.0)), 0.1,
+                                                 potential=P))["tanh_mid"]),
+        "nl_literal": (nl_off, 0.0, tanh_seed(g128, width=0.08, amplitude=0.8)),
+        "general_kernel": (general, 0.0,
+                           dict(equilibrium_seeds(g64, 0.0, potential=P))["tanh_mid"]),
+    }
+
+
+class TestAgainstDenseOracle:
+    @pytest.mark.parametrize("case", list(_oracle_cases()))
+    def test_matches_dense_bordered_newton(self, case):
+        M, k, guess = _oracle_cases()[case]
+        phi_ref, mu_ref = dense_equilibrium(M, k, guess)
+        eq = solve_equilibrium(M, k, guess, tol=1e-12)
+        assert np.max(np.abs(eq.phi_inf.data - phi_ref)) <= 1e-10
+        assert abs(eq.mu_inf - mu_ref) <= 1e-10
+
+    def test_gmres_failure_is_typed(self, monkeypatch):
+        M, k, guess = _oracle_cases()["general_kernel"]
+        monkeypatch.setattr(stationary, "GMRES_RESTART", 1)
+        monkeypatch.setattr(stationary, "GMRES_MAXITER", 1)
+        with pytest.raises(NewtonDivergenceError, match="GMRES"):
+            solve_equilibrium(M, k, guess, tol=1e-12)
+
+    def test_nonlocal_96x96_bounded_memory(self):
+        # the dense bordered Jacobian alone would take (96^2 + 1)^2 * 8 B = 680 MB
+        P = log_potential()
+        M = nonlocal_cahn_hilliard(P, MobilitySpec.polynomial([1.0, 0.0, -0.5], m_star=0.5),
+                                   KernelSpec("gaussian", scale=0.1))
+        grid = Grid((96, 96), (1.0, 1.0))
+        guess = dict(equilibrium_seeds(grid, 0.1, potential=P))["tanh_mid"]
+        tracemalloc.start()
+        try:
+            eq = solve_equilibrium(M, 0.1, guess, tol=1e-10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert eq.residual_l2 <= 1e-10
+        assert peak < 64 * 2**20, peak
 
 
 class TestSeparation:
