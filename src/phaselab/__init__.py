@@ -17,8 +17,6 @@ from .grid import (
     Field,
     FaceField,
     KernelMatrix,
-    gradient,
-    weighted_div_grad,
     inner,
     norm_l2,
     norm_h1_semi,
@@ -56,8 +54,6 @@ __all__ = [
     "Field",
     "FaceField",
     "KernelMatrix",
-    "gradient",
-    "weighted_div_grad",
     "inner",
     "norm_l2",
     "norm_h1_semi",

@@ -20,17 +20,27 @@ current iterate only when there is no LU yet, when dt has left
 previous step backtracked or shrank the residual less than 4-fold.  A lagged
 iterate stops only after a polish pass with a fresh LU, or at a residual of
 0.01 * newton_tol that also resolves the step's increment to CHORD_RTOL or
-sits at the roundoff floor.  The recorded ``newton_iters`` therefore counts
-chord iterations, and ``provenance["factorizations"]`` counts the LUs.
+sits at the roundoff floor, and never before one pass: a commit without an
+implicit solve would be an explicit step of the stiff operator.  The recorded
+``newton_iters`` therefore counts chord iterations (at least one per step),
+and ``provenance["factorizations"]`` counts the LUs.
+
+The frozen diffusion and mobility operators L_a and L_m are applied
+matrix-free, as -G^T (w * G x) with the grid's face-difference matrix G; the
+sparse matrices are assembled only when the Jacobian is factored.
 
 Mass is conserved exactly: the committed update is phi + dt * RHS(phi+),
 whose discrete mean vanishes to roundoff (the flux form telescopes; the
 relaxation form subtracts the discrete mean of the whole right-hand side).
 
 The adaptive driver rejects any step that violates the one-step energy
-inequality E(phi+) + dt * D(phi+) <= E(phi) + tol_E and retries with half the
-step; trajectories that violate dissipation are worthless for the analysis
-layer, so violation is treated as failure, not warning.
+inequality E(phi+) + dt * D(phi+) <= E(phi) + tol_E (a NaN on either side
+violates it) and retries with half the step; trajectories that violate
+dissipation are worthless for the analysis layer, so violation is treated as
+failure, not warning.  Each trial state is evaluated once
+(``physics.Evaluation``): the same evaluation feeds the gate, the recorded
+diagnostics and, once accepted, the coefficients and explicit terms that the
+next step freezes.
 """
 
 from __future__ import annotations
@@ -181,66 +191,54 @@ def _check_convexity_floor(d2f: np.ndarray, theta: float):
 class _StepWorkspace:
     """One run's operators, frozen at the last accepted state, and its LU.
 
-    ``freeze`` rebuilds the varying-coefficient Laplacians once per accepted
-    state; constant-coefficient ones are built once per workspace.  The LU
-    (with its Sherman-Morrison correction) outlives both Newton iterations
-    and steps: ``step`` refactors only when the lagged one stops paying.
+    ``freeze`` takes the evaluation of a newly accepted state: its face
+    coefficients (scaled to ``w / h^2``) and the explicit part of its split
+    chemical potential.  ``mu_of`` and ``rhs_of`` apply ``L_a`` and ``L_m``
+    matrix-free as ``-G^T (w * G x)``; the sparse matrices are assembled only
+    in ``jacobian_solver``.  The LU (with its Sherman-Morrison correction)
+    outlives both Newton iterations and steps: ``step`` refactors only when
+    the lagged one stops paying.
     """
 
-    def __init__(self, M: ph.ModelConfig, phi_field: g.Field):
+    def __init__(self, M: ph.ModelConfig, phi_field: g.Field,
+                 evaluation: ph.Evaluation | None = None):
         self.M = M
         self.P = M.potential
-        self.n = phi_field.grid.n_cells
-        self.L_a = None
-        self.L_m = None
+        self.grid = phi_field.grid
+        self.ops = self.grid.faces
+        self.n = self.grid.n_cells
         self.solve = None
         self.dt_f = 0.0
         self.factorizations = 0
-        self.freeze(phi_field)
+        self.freeze(evaluation or ph.Evaluation(M, phi_field))
 
-    def freeze(self, phi_field: g.Field):
+    def freeze(self, ev: ph.Evaluation):
         """Freeze the coefficients and explicit terms at a newly accepted state."""
         M = self.M
-        grid = phi_field.grid
-        phi = phi_field.data
-        if M.gamma > 0 and (self.L_a is None or not M.diffusion.is_constant):
-            a_face = ph._coefficient_faces(M, phi_field, M.diffusion)
-            self.L_a = g.weighted_laplacian_matrix(grid, a_face)
-        if M.alpha > 0 and (self.L_m is None or not M.mobility.is_constant):
-            m_face = ph._coefficient_faces(M, phi_field, M.mobility)
-            self.L_m = g.weighted_laplacian_matrix(grid, m_face)
-
-        explicit = np.zeros(self.n)
-        if M.gamma > 0:
-            da = np.asarray(M.diffusion.dfn(phi))
-            if np.any(da):
-                explicit += M.gamma * 0.5 * da * ph.grad_sq_cell(phi_field)
-        if M.sigma1:
-            explicit -= self.P.theta0 * phi
-        self.w = None
-        if M.sigma2:
-            K = M.kernel.matrix(grid)
-            explicit -= K.apply_values(phi)
-            if M.nonlocal_consistency:
-                self.w = K.row_sums
-        self.explicit = explicit
+        inv_h2 = self.ops.inv_h2
+        self.a_face = ev.a_face if M.gamma > 0 else None
+        self.m_face = ev.m_face if M.alpha > 0 else None
+        self.wa = None if self.a_face is None else M.gamma * self.a_face * inv_h2
+        self.wm = None if self.m_face is None else M.alpha * self.m_face * inv_h2
+        self.w = ev.kernel.row_sums if (M.sigma2 and M.nonlocal_consistency) else None
+        self.explicit = ev.explicit
 
     def mu_of(self, x: np.ndarray) -> np.ndarray:
         mu = np.asarray(self.P.dF(x)) + self.explicit
-        if self.L_a is not None:
-            mu -= self.M.gamma * (self.L_a @ x)
+        if self.wa is not None:  # -gamma L_a x
+            mu += self.ops.GT @ (self.wa * (self.ops.G @ x))
         if self.w is not None:
             mu += self.w * x
         return mu
 
     def rhs_of(self, mu: np.ndarray) -> np.ndarray:
         M = self.M
-        if M.alpha > 0:
-            r = M.alpha * (self.L_m @ mu)
-            if M.beta > 0:
-                r -= M.beta * (mu - mu.mean())
+        if M.beta > 0:
+            r = -M.beta * (mu - mu.mean())
+            if self.wm is not None:  # alpha L_m mu
+                r -= self.ops.GT @ (self.wm * (self.ops.G @ mu))
             return r
-        return -M.beta * (mu - mu.mean())
+        return -(self.ops.GT @ (self.wm * (self.ops.G @ mu)))
 
     def fits(self, dt: float) -> bool:
         """Whether the lagged LU may serve a solve at this dt."""
@@ -252,7 +250,8 @@ class _StepWorkspace:
         The sparse part is A = I + dt (beta I - alpha L_m)(diag c - gamma L_a)
         with c = F''(x) (+ w); the mean subtraction adds the rank-one term
         -u v^T, u = dt beta / n, v = c (L_a has zero column sums), which
-        Sherman-Morrison folds into the solve.
+        Sherman-Morrison folds into the solve.  L_a and L_m are assembled
+        here, at the frozen coefficients, and nowhere else.
         """
         M = self.M
         n = self.n
@@ -262,11 +261,11 @@ class _StepWorkspace:
             c = c + self.w
         eye = sp.identity(n, format="csr")
         dmu = sp.diags(c, format="csr")
-        if self.L_a is not None:
-            dmu = dmu - M.gamma * self.L_a
+        if self.a_face is not None:
+            dmu = dmu - M.gamma * g.weighted_laplacian_matrix(self.grid, self.a_face)
         drhs = M.beta * eye
-        if self.L_m is not None:
-            drhs = drhs - M.alpha * self.L_m
+        if self.m_face is not None:
+            drhs = drhs - M.alpha * g.weighted_laplacian_matrix(self.grid, self.m_face)
         lu = spla.splu((eye + dt * (drhs @ dmu)).tocsc())
         if M.beta <= 0:
             solve = lu.solve
@@ -311,11 +310,13 @@ def step(M: ph.ModelConfig, s: State, dt: float, cfg: StepperConfig,
     rhs = ws.rhs_of(ws.mu_of(x))
     resid = x - phi - dt * rhs
     rnorm = r0 = float(np.linalg.norm(resid)) * sqrt_vol
-    fresh = True      # the last pass used an LU factored at its own iterate
+    fresh = False     # the last pass used an LU factored at its own iterate (none yet)
     refactor = False  # the last pass backtracked or contracted too little
     polished = False  # the last pass was fresh and began below newton_tol
     for iters in range(cfg.newton_max_iter + 1):
-        if rnorm <= cfg.newton_tol:
+        # at least one implicit pass: committing clip(phi) + dt rhs unsolved
+        # would be an explicit step of the stiff operator
+        if iters and rnorm <= cfg.newton_tol:
             # a chord converges only linearly: its iterate must also resolve
             # the step's own increment (CHORD_RTOL) or stall at roundoff
             small = rnorm <= 0.01 * cfg.newton_tol and \
@@ -367,31 +368,27 @@ def step(M: ph.ModelConfig, s: State, dt: float, cfg: StepperConfig,
         x, rhs, resid, rnorm = xn, rhs_n, resid_n, rn
 
     phi_new = phi + dt * rhs  # mass-exact commit: mean(rhs) telescopes to 0
-    if np.max(np.abs(phi_new)) >= limit:
+    if not np.max(np.abs(phi_new)) < limit:  # NaN counts as a violation
         raise BoundsViolationError("post-solve values hit the guard band; reduce dt")
     return State(g.Field(grid, phi_new), s.t + dt, newton_iters=iters, dt_used=dt)
 
 
 class _Recorder:
-    def __init__(self, M, cfg):
-        self.M = M
-        self.cfg = cfg
+    def __init__(self):
         self.rows = {k: [] for k in (
             "times", "mass", "energy", "dissipation", "grad_mu_l2", "mu_fluct_l2",
             "phi_min", "phi_max", "sep_margin", "dt", "newton_iters")}
         self.snapshots = []
 
-    def sample(self, state: State, dt: float, snapshot: bool, diag: dict | None = None):
+    def sample(self, state: State, dt: float, snapshot: bool, ev: ph.Evaluation):
         phi = state.phi
-        if diag is None:
-            diag = _diagnose(self.M, phi)
         r = self.rows
         r["times"].append(state.t)
         r["mass"].append(phi.mean())
-        r["energy"].append(diag["energy"])
-        r["dissipation"].append(diag["dissipation"])
-        r["grad_mu_l2"].append(diag["grad_mu_l2"])
-        r["mu_fluct_l2"].append(diag["mu_fluct_l2"])
+        r["energy"].append(ev.energy)
+        r["dissipation"].append(ev.dissipation)
+        r["grad_mu_l2"].append(ev.grad_mu_l2)
+        r["mu_fluct_l2"].append(ev.mu_fluct_l2)
         r["phi_min"].append(float(phi.data.min()))
         r["phi_max"].append(float(phi.data.max()))
         r["sep_margin"].append(1.0 - float(np.max(np.abs(phi.data))))
@@ -399,7 +396,6 @@ class _Recorder:
         r["newton_iters"].append(state.newton_iters)
         if snapshot:
             self.snapshots.append((state.t, phi.copy()))
-        return diag["energy"], diag["dissipation"]
 
     def build(self, grid, provenance, model, complete) -> Trajectory:
         r = self.rows
@@ -449,9 +445,11 @@ def run(M: ph.ModelConfig, phi0: g.Field, t_max: float, cfg: StepperConfig | Non
     prov.setdefault("beta", M.beta)
     prov.setdefault("gamma", M.gamma)
 
-    rec = _Recorder(M, cfg)
+    rec = _Recorder()
     state = State(start, 0.0)
-    e_prev, _ = rec.sample(state, 0.0, snapshot=True)
+    ev = ph.Evaluation(M, start)
+    rec.sample(state, 0.0, True, ev)
+    e_prev = ev.energy
 
     dt = cfg.dt_init
     clean = 0
@@ -460,7 +458,7 @@ def run(M: ph.ModelConfig, phi0: g.Field, t_max: float, cfg: StepperConfig | Non
     dwell = 0
     stop_reason = "t_max"
     t0 = _time.perf_counter()
-    ws = _StepWorkspace(M, state.phi)
+    ws = _StepWorkspace(M, start, ev)
 
     def finish(reason: str, complete: bool) -> Trajectory:
         out = dict(prov, accepted=accepted, rejected=dict(rejected),
@@ -482,8 +480,9 @@ def run(M: ph.ModelConfig, phi0: g.Field, t_max: float, cfg: StepperConfig | Non
                                      finish("step_floor", False)) from exc
             continue
 
-        diag = _diagnose(M, new_state.phi)
-        if diag["energy"] + dt_step * diag["dissipation"] > e_prev + cfg.tol_e:
+        ev = ph.Evaluation(M, new_state.phi)
+        # written so that a NaN energy or dissipation fails the gate
+        if not ev.energy + dt_step * ev.dissipation <= e_prev + cfg.tol_e:
             rejected["energy"] += 1
             clean = 0
             dt *= 0.5
@@ -493,19 +492,17 @@ def run(M: ph.ModelConfig, phi0: g.Field, t_max: float, cfg: StepperConfig | Non
             continue
 
         state = new_state
-        state.energy = diag["energy"]
-        ws.freeze(state.phi)
+        state.energy = e_prev = ev.energy
+        ws.freeze(ev)
         accepted += 1
-        snapshot = (accepted % cfg.snapshot_every == 0)
-        e_prev, _ = rec.sample(state, dt_step, snapshot=snapshot, diag=diag)
+        rec.sample(state, dt_step, accepted % cfg.snapshot_every == 0, ev)
 
         clean += 1
         if clean >= cfg.grow_every:
             dt = min(dt * cfg.grow_factor, cfg.dt_max)
             clean = 0
 
-        dissnorm = rec.rows["grad_mu_l2"][-1] if M.dissipation_norm == "grad_mu" \
-            else rec.rows["mu_fluct_l2"][-1]
+        dissnorm = ev.grad_mu_l2 if M.dissipation_norm == "grad_mu" else ev.mu_fluct_l2
         if dissnorm < cfg.steady_tol:
             dwell += 1
             if dwell >= cfg.steady_dwell:
@@ -517,29 +514,3 @@ def run(M: ph.ModelConfig, phi0: g.Field, t_max: float, cfg: StepperConfig | Non
     if not rec.snapshots or rec.snapshots[-1][0] < state.t:
         rec.snapshots.append((state.t, state.phi.copy()))
     return finish(stop_reason, True)
-
-
-def _diagnose(M, phi: g.Field) -> dict:
-    mu = ph.chemical_potential(M, phi)
-    grad_mu = g.gradient(mu)
-    grid = phi.grid
-    vol = grid.cell_volume
-    gm2 = 0.0
-    diss_grad = 0.0
-    if M.alpha > 0:
-        m_face = ph._coefficient_faces(M, phi, M.mobility)
-    for a in range(grid.dim):
-        sl = [slice(None)] * grid.dim
-        sl[a] = slice(1, None)
-        comp2 = grad_mu.components[a][tuple(sl)] ** 2
-        gm2 += float(comp2.sum()) * vol
-        if M.alpha > 0:
-            diss_grad += float((m_face.components[a][tuple(sl)] * comp2).sum()) * vol
-    fluct = mu.data - mu.data.mean()
-    fluct2 = float(np.dot(fluct, fluct)) * vol
-    return {
-        "energy": ph.energy(M, phi),
-        "dissipation": M.alpha * diss_grad + M.beta * fluct2,
-        "grad_mu_l2": float(np.sqrt(max(gm2, 0.0))),
-        "mu_fluct_l2": float(np.sqrt(max(fluct2, 0.0))),
-    }

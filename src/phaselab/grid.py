@@ -11,13 +11,16 @@ Conventions:
 * A face field stores one array per axis; along that axis it has n+1 entries
   (entry 0 and entry n are the boundary faces; under periodic wrap they hold
   the same physical face twice).
-* Face sums (energies, seminorms) iterate faces ``1..n`` per axis so each
-  physical face is counted exactly once in both boundary modes.
+* The discrete operators act on the physical faces only (``FaceOperator``,
+  one per grid as ``grid.faces``): interior faces, plus the wrap face under
+  periodic boundaries, each counted exactly once.  Zero-flux boundary faces
+  carry nothing and are left out.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -58,21 +61,28 @@ class Grid:
     def dim(self) -> int:
         return len(self.shape)
 
-    @property
+    # derived values are cached on the instance; the frozen fields alone
+    # decide equality and hashing, so a cache can never go stale
+    @cached_property
     def spacing(self) -> tuple[float, ...]:
         return tuple(l / n for l, n in zip(self.lengths, self.shape))
 
-    @property
+    @cached_property
     def n_cells(self) -> int:
         return int(np.prod(self.shape))
 
-    @property
+    @cached_property
     def cell_volume(self) -> float:
         return float(np.prod(self.spacing))
 
-    @property
+    @cached_property
     def volume(self) -> float:
         return float(np.prod(self.lengths))
+
+    @cached_property
+    def faces(self) -> "FaceOperator":
+        """The grid's face-difference operator, built on first use."""
+        return FaceOperator(self)
 
     def axes(self) -> tuple[np.ndarray, ...]:
         """Cell-center coordinates along each axis."""
@@ -150,114 +160,75 @@ def _require_same_grid(*fields) -> Grid:
     return grid
 
 
-def gradient(phi: Field) -> FaceField:
-    """Face-centered differences of a cell field.
+class FaceOperator:
+    """The physical faces of a grid and the difference matrix on them.
 
-    Interior face k between cells k-1 and k holds (phi[k]-phi[k-1])/h.
-    Boundary faces are zero for Neumann and wrap for periodic grids.
+    Face f joins cells ``lo[f]`` and ``hi[f]``: each interior face along each
+    axis and, under periodic wrap, the face between the last and the first
+    cell.  Zero-flux boundary faces carry no flux and are left out.  ``G`` is
+    the signed face-cell incidence matrix, ``(G u)_f = u[hi[f]] - u[lo[f]]``,
+    so the face gradient is ``inv_h * (G u)`` and
+
+        div(w grad u) = -G^T diag(w / h^2) G u.
+
+    Every row of G sums to zero, so the cell sum of any ``G^T v`` telescopes:
+    mass conservation is structural.  Differences are taken before scaling by
+    1/h, which keeps them exact on nearly constant fields.
     """
-    grid = phi.grid
-    u = phi.values_nd
-    comps = []
-    for a, (n, h) in enumerate(zip(grid.shape, grid.spacing)):
-        shape = tuple(n + 1 if a == b else m for b, m in enumerate(grid.shape))
-        g = np.zeros(shape)
-        interior = [slice(None)] * grid.dim
-        interior[a] = slice(1, n)
-        lo = [slice(None)] * grid.dim
-        lo[a] = slice(0, n - 1)
-        hi = [slice(None)] * grid.dim
-        hi[a] = slice(1, n)
-        g[tuple(interior)] = (u[tuple(hi)] - u[tuple(lo)]) / h
-        if grid.bc == PERIODIC:
-            first = [slice(None)] * grid.dim
-            first[a] = 0
-            last = [slice(None)] * grid.dim
-            last[a] = n
-            edge_lo = [slice(None)] * grid.dim
-            edge_lo[a] = n - 1
-            edge_hi = [slice(None)] * grid.dim
-            edge_hi[a] = 0
-            wrap = (u[tuple(edge_hi)] - u[tuple(edge_lo)]) / h
-            g[tuple(first)] = wrap
-            g[tuple(last)] = wrap
-        comps.append(g)
-    return FaceField(grid, tuple(comps))
 
+    def __init__(self, grid: Grid):
+        idx = np.arange(grid.n_cells).reshape(grid.shape)
+        lo, hi, inv_h, slots = [], [], [], []
+        offset = 0  # start of axis a's component in a flattened FaceField
+        for a, (n, h) in enumerate(zip(grid.shape, grid.spacing)):
+            face_shape = tuple(n + 1 if a == b else m for b, m in enumerate(grid.shape))
+            face_idx = offset + np.arange(int(np.prod(face_shape))).reshape(face_shape)
+            offset += face_idx.size
+            # (lo cells, hi cells, FaceField slot) along axis a
+            pairs = [(slice(0, n - 1), slice(1, n), slice(1, n))]
+            if grid.bc == PERIODIC:
+                pairs.append((slice(n - 1, n), slice(0, 1), slice(0, 1)))
+            for p, q, f in pairs:
+                along = (slice(None),) * a
+                lo.append(idx[along + (p,)].ravel())
+                hi.append(idx[along + (q,)].ravel())
+                slots.append(face_idx[along + (f,)].ravel())
+                inv_h.append(np.full(lo[-1].size, 1.0 / h))
+        self.lo = np.concatenate(lo)
+        self.hi = np.concatenate(hi)
+        self.inv_h = np.concatenate(inv_h)
+        self.inv_h2 = self.inv_h * self.inv_h
+        self._slots = np.concatenate(slots)
+        m = self.lo.size
+        self.G = sp.csr_matrix(
+            (np.tile([-1.0, 1.0], m), np.column_stack([self.lo, self.hi]).ravel(),
+             np.arange(0, 2 * m + 1, 2)),
+            shape=(m, grid.n_cells),
+        )
+        self.GT = self.G.T.tocsr()
+        self._incidence = abs(self.GT)
 
-def face_average(phi: Field, mode: str = "arithmetic") -> FaceField:
-    """Interpolate cell values to faces (arithmetic or harmonic mean).
+    def grad(self, u: np.ndarray) -> np.ndarray:
+        """Face gradient of flat cell values."""
+        return self.inv_h * (self.G @ u)
 
-    Boundary faces copy the adjacent cell value under Neumann (the flux there
-    is zero regardless) and wrap-average under periodic boundaries.
-    """
-    grid = phi.grid
-    u = phi.values_nd
-    comps = []
-    for a, n in enumerate(grid.shape):
-        shape = tuple(n + 1 if a == b else m for b, m in enumerate(grid.shape))
-        w = np.zeros(shape)
-        interior = [slice(None)] * grid.dim
-        interior[a] = slice(1, n)
-        lo = [slice(None)] * grid.dim
-        lo[a] = slice(0, n - 1)
-        hi = [slice(None)] * grid.dim
-        hi[a] = slice(1, n)
-        ul, uh = u[tuple(lo)], u[tuple(hi)]
+    def average(self, c: np.ndarray, mode: str = "arithmetic") -> np.ndarray:
+        """Arithmetic or harmonic mean of cell values at each face."""
+        cl, ch = c[self.lo], c[self.hi]
         if mode == "arithmetic":
-            w[tuple(interior)] = 0.5 * (ul + uh)
-        elif mode == "harmonic":
-            w[tuple(interior)] = 2.0 * ul * uh / (ul + uh)
-        else:
-            raise ValueError(f"unknown face averaging mode {mode!r}")
-        first = [slice(None)] * grid.dim
-        first[a] = 0
-        last = [slice(None)] * grid.dim
-        last[a] = n
-        cell_lo = [slice(None)] * grid.dim
-        cell_lo[a] = 0
-        cell_hi = [slice(None)] * grid.dim
-        cell_hi[a] = n - 1
-        if grid.bc == PERIODIC:
-            u0, u1 = u[tuple(cell_hi)], u[tuple(cell_lo)]
-            wrap = 0.5 * (u0 + u1) if mode == "arithmetic" else 2.0 * u0 * u1 / (u0 + u1)
-            w[tuple(first)] = wrap
-            w[tuple(last)] = wrap
-        else:
-            w[tuple(first)] = u[tuple(cell_lo)]
-            w[tuple(last)] = u[tuple(cell_hi)]
-        comps.append(w)
-    return FaceField(grid, tuple(comps))
+            return 0.5 * (cl + ch)
+        if mode == "harmonic":
+            return 2.0 * cl * ch / (cl + ch)
+        raise ValueError(f"unknown face averaging mode {mode!r}")
 
+    def cell_sq(self, face_values: np.ndarray) -> np.ndarray:
+        """Per cell: the mean of the squares at its two faces along each axis,
+        summed over axes (zero-flux boundary faces count as zero)."""
+        return 0.5 * (self._incidence @ (face_values * face_values))
 
-def weighted_div_grad(phi: Field, face_weights: FaceField) -> Field:
-    """div(w grad(phi)) with face weights w; zero-flux or wrap at boundaries.
-
-    The flux telescopes, so the cell-volume-weighted sum of the result is zero
-    to roundoff in both boundary modes.
-    """
-    grid = _require_same_grid(phi, face_weights)
-    g = gradient(phi)
-    out = np.zeros(grid.shape)
-    for a, h in enumerate(grid.spacing):
-        flux = face_weights.components[a] * g.components[a]
-        lo = [slice(None)] * grid.dim
-        lo[a] = slice(0, grid.shape[a])
-        hi = [slice(None)] * grid.dim
-        hi[a] = slice(1, grid.shape[a] + 1)
-        out += (flux[tuple(hi)] - flux[tuple(lo)]) / h
-    return Field(grid, out.ravel())
-
-
-def face_sum(grid: Grid, face_values: FaceField) -> float:
-    """Sum face values times face volume, counting each physical face once."""
-    total = 0.0
-    vol = grid.cell_volume
-    for a in range(grid.dim):
-        sl = [slice(None)] * grid.dim
-        sl[a] = slice(1, None)
-        total += float(face_values.components[a][tuple(sl)].sum()) * vol
-    return total
+    def gather(self, face_field: FaceField) -> np.ndarray:
+        """A FaceField's values on these faces (the wrap face read at entry 0)."""
+        return np.concatenate([c.ravel() for c in face_field.components])[self._slots]
 
 
 def inner(u: Field, v: Field) -> float:
@@ -272,61 +243,25 @@ def norm_l2(u: Field) -> float:
 
 def norm_h1_semi(u: Field) -> float:
     """L2 norm of the discrete gradient (face-based)."""
-    g = gradient(u)
-    sq = FaceField(u.grid, tuple(c * c for c in g.components))
-    return float(np.sqrt(max(face_sum(u.grid, sq), 0.0)))
+    gu = u.grid.faces.grad(u.data)
+    return float(np.sqrt(np.dot(gu, gu) * u.grid.cell_volume))
 
 
-def _laplacian_entries(grid: Grid, face_weights: FaceField):
-    """COO entries of the operator u -> div(w grad u)."""
-    dim = grid.dim
-    idx = np.arange(grid.n_cells).reshape(grid.shape)
-    rows, cols, vals = [], [], []
+def weighted_laplacian_matrix(grid: Grid, face_weights: FaceField | np.ndarray | float
+                              ) -> sp.csr_matrix:
+    """Sparse matrix of u -> div(w grad u) = -G^T diag(w / h^2) G u.
 
-    def add_face(p, q, w, h):
-        c = np.asarray(w).ravel() / (h * h)
-        p = np.asarray(p).ravel()
-        q = np.asarray(q).ravel()
-        rows.extend([p, p, q, q])
-        cols.extend([p, q, q, p])
-        vals.extend([-c, c, -c, c])
-
-    for a, (n, h) in enumerate(zip(grid.shape, grid.spacing)):
-        sl_lo = [slice(None)] * dim
-        sl_lo[a] = slice(0, n - 1)
-        sl_hi = [slice(None)] * dim
-        sl_hi[a] = slice(1, n)
-        w_int = [slice(None)] * dim
-        w_int[a] = slice(1, n)
-        add_face(idx[tuple(sl_lo)], idx[tuple(sl_hi)], face_weights.components[a][tuple(w_int)], h)
-        if grid.bc == PERIODIC:
-            sl_last = [slice(None)] * dim
-            sl_last[a] = n - 1
-            sl_first = [slice(None)] * dim
-            sl_first[a] = 0
-            w_wrap = [slice(None)] * dim
-            w_wrap[a] = 0
-            add_face(idx[tuple(sl_last)], idx[tuple(sl_first)], face_weights.components[a][tuple(w_wrap)], h)
-    return (
-        np.concatenate(rows),
-        np.concatenate(cols),
-        np.concatenate(vals),
-    )
-
-
-def weighted_laplacian_matrix(grid: Grid, face_weights: FaceField) -> sp.csr_matrix:
-    """Sparse matrix of u -> div(w grad u); agrees with weighted_div_grad."""
-    rows, cols, vals = _laplacian_entries(grid, face_weights)
-    n = grid.n_cells
-    return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-
-
-def unit_face_weights(grid: Grid) -> FaceField:
-    comps = tuple(
-        np.ones(tuple(n + 1 if a == b else m for b, m in enumerate(grid.shape)))
-        for a, n in enumerate(grid.shape)
-    )
-    return FaceField(grid, comps)
+    ``face_weights`` is a FaceField, or w on the faces of ``grid.faces`` (an
+    array in face order, or a scalar for a constant coefficient).
+    """
+    ops = grid.faces
+    w = ops.gather(face_weights) if isinstance(face_weights, FaceField) else face_weights
+    # every row of G holds two entries: scale them in place of a diagonal
+    # factor, so that assembly is a single sparse product
+    G = ops.G
+    scaled = sp.csr_matrix((G.data * np.repeat(-w * ops.inv_h2, 2), G.indices, G.indptr),
+                           shape=G.shape)
+    return ops.GT @ scaled
 
 
 def norm_hminus1(u: Field) -> float:
@@ -409,32 +344,40 @@ def convolve(K: KernelMatrix, phi: Field) -> Field:
 
 
 def save_field(path, phi: Field):
-    """Write a snapshot: header ``nx [ny] hx [hy] bc`` then row-major values."""
+    """Write a snapshot: header ``nx [ny] hx [hy] bc Lx [Ly]``, then one value
+    per line in row-major order, as ``np.savetxt(fmt="%.17g")`` would."""
     grid = phi.grid
-    header = " ".join(
-        [*(str(n) for n in grid.shape), *(repr(h) for h in grid.spacing), grid.bc]
-    )
+    header = " ".join([*(str(n) for n in grid.shape), *(repr(h) for h in grid.spacing),
+                       grid.bc, *(repr(l) for l in grid.lengths)])
     with open(path, "w") as fh:
         fh.write(header + "\n")
-        np.savetxt(fh, phi.data, fmt="%.17g")
+        fh.write("".join("%.17g\n" % v for v in phi.data.tolist()))
+
+
+# header tokens -> dimension; the shorter forms carry no lengths
+_HEADER_DIMS = {3: 1, 4: 1, 5: 2, 7: 2}
 
 
 def load_field(path) -> Field:
-    """Read a snapshot written by save_field (whitespace or CSV body)."""
+    """Read a snapshot written by save_field (whitespace or CSV body).
+
+    Headers without lengths (``nx [ny] hx [hy] bc``) are read too; their
+    lengths are rebuilt as ``n * h``.
+    """
     with open(path) as fh:
         header = fh.readline().split()
         body = fh.read()
-    if len(header) == 3:
-        shape = (int(header[0]),)
-        spacing = (float(header[1]),)
-        bc = header[2]
-    elif len(header) == 5:
-        shape = (int(header[0]), int(header[1]))
-        spacing = (float(header[2]), float(header[3]))
-        bc = header[4]
-    else:
+    dim = _HEADER_DIMS.get(len(header))
+    if dim is None:
         raise ValueError(f"malformed snapshot header: {' '.join(header)!r}")
-    lengths = tuple(n * h for n, h in zip(shape, spacing))
+    shape = tuple(int(tok) for tok in header[:dim])
+    spacing = tuple(float(tok) for tok in header[dim:2 * dim])
+    bc = header[2 * dim]
+    lengths = tuple(float(tok) for tok in header[2 * dim + 1:])
+    if not lengths:
+        lengths = tuple(n * h for n, h in zip(shape, spacing))
+    elif any(abs(l / n - h) > 1e-12 * h for l, n, h in zip(lengths, shape, spacing)):
+        raise ValueError(f"snapshot header lengths disagree with its spacing: {' '.join(header)!r}")
     grid = Grid(shape, lengths, bc)
-    values = np.array([float(tok) for tok in body.replace(",", " ").split()])
+    values = np.fromiter(map(float, body.replace(",", " ").split()), float)
     return Field(grid, values)

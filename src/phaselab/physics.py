@@ -23,6 +23,7 @@ invariant battery.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.optimize import brentq
@@ -388,6 +389,125 @@ def nonlocal_cahn_hilliard(potential, mobility, kernel, alpha=1.0,
                        preset=PRESET_NONLOCAL)
 
 
+class Evaluation:
+    """The discrete quantities of one state, each computed at most once.
+
+    Everything is derived on first use from the grid's face operator: the
+    face coefficients ``a`` and ``m`` (a scalar when the coefficient is
+    constant), the face gradient, ``|grad phi|^2`` at cells, the convolution
+    ``J * phi``, the chemical potential and its split explicit part, the
+    energy, the dissipation and the diagnostic norms.  The stepper's energy
+    gate, its frozen coefficients and the recorded diagnostics read one
+    evaluation of each state, through the same code the public functions
+    below use.  ``mu`` may be given to evaluate the dissipation of another
+    potential at this state.
+    """
+
+    def __init__(self, M: ModelConfig, phi: g.Field, mu: np.ndarray | None = None):
+        self.M = M
+        self.grid = phi.grid
+        self.phi = phi.data
+        self.ops = phi.grid.faces
+        if mu is not None:
+            self.mu = mu
+
+    def _faces(self, spec) -> np.ndarray | float:
+        if spec.is_constant:
+            return spec.constant_value
+        return self.ops.average(np.asarray(spec(self.phi)), self.M.face_mode)
+
+    @cached_property
+    def a_face(self) -> np.ndarray | float:
+        return self._faces(self.M.diffusion)
+
+    @cached_property
+    def m_face(self) -> np.ndarray | float:
+        return self._faces(self.M.mobility)
+
+    @cached_property
+    def grad(self) -> np.ndarray:
+        return self.ops.grad(self.phi)
+
+    @cached_property
+    def grad_sq(self) -> np.ndarray:
+        return self.ops.cell_sq(self.grad)
+
+    @cached_property
+    def kernel(self) -> g.KernelMatrix:
+        return self.M.kernel.matrix(self.grid)
+
+    @cached_property
+    def conv(self) -> np.ndarray:
+        return self.kernel.apply_values(self.phi)
+
+    @cached_property
+    def explicit(self) -> np.ndarray:
+        """The explicit part of the split chemical potential: the a' gradient
+        square, -sigma1 theta0 phi and -sigma2 J*phi."""
+        M = self.M
+        out = np.zeros(self.phi.size)
+        if M.gamma > 0 and not M.diffusion.is_constant:
+            da = np.asarray(M.diffusion.dfn(self.phi))
+            if np.any(da):
+                out += M.gamma * 0.5 * da * self.grad_sq
+        if M.sigma1:
+            out -= M.potential.theta0 * self.phi
+        if M.sigma2:
+            out -= self.conv
+        return out
+
+    @cached_property
+    def mu(self) -> np.ndarray:
+        M = self.M
+        mu = np.asarray(M.potential.dF(self.phi)) + self.explicit
+        if M.gamma > 0:  # -gamma div(a grad phi)
+            mu += M.gamma * (self.ops.GT @ (self.ops.inv_h * (self.a_face * self.grad)))
+        if M.sigma2 and M.nonlocal_consistency:
+            mu += self.kernel.row_sums * self.phi
+        return mu
+
+    @cached_property
+    def energy(self) -> float:
+        M = self.M
+        P = M.potential
+        phi = self.phi
+        E = float(np.sum(P.F(phi)))
+        if M.sigma1:
+            E -= 0.5 * P.theta0 * float(np.dot(phi, phi))
+        if M.gamma > 0:
+            E += 0.5 * M.gamma * float(np.dot(self.a_face * self.grad, self.grad))
+        if M.sigma2:
+            E += 0.5 * (float(np.dot(self.kernel.row_sums * phi, phi))
+                        - float(np.dot(self.conv, phi)))
+        return E * self.grid.cell_volume
+
+    @cached_property
+    def grad_mu(self) -> np.ndarray:
+        return self.ops.grad(self.mu)
+
+    @cached_property
+    def mu_fluct(self) -> np.ndarray:
+        return self.mu - self.mu.mean()
+
+    @cached_property
+    def dissipation(self) -> float:
+        M = self.M
+        D = 0.0
+        if M.alpha > 0:
+            D += M.alpha * float(np.dot(self.m_face * self.grad_mu, self.grad_mu))
+        if M.beta > 0:
+            D += M.beta * float(np.dot(self.mu_fluct, self.mu_fluct))
+        return D * self.grid.cell_volume
+
+    @cached_property
+    def grad_mu_l2(self) -> float:
+        return float(np.sqrt(np.dot(self.grad_mu, self.grad_mu) * self.grid.cell_volume))
+
+    @cached_property
+    def mu_fluct_l2(self) -> float:
+        return float(np.sqrt(np.dot(self.mu_fluct, self.mu_fluct) * self.grid.cell_volume))
+
+
 def grad_sq_cell(phi: g.Field) -> np.ndarray:
     """|grad phi|^2 at cells: per-axis average of the two adjacent squared
     face differences, summed over axes.
@@ -396,17 +516,8 @@ def grad_sq_cell(phi: g.Field) -> np.ndarray:
     makes the chemical potential the exact discrete first variation of the
     gradient energy.
     """
-    grid = phi.grid
-    grad = g.gradient(phi)
-    out = np.zeros(grid.shape)
-    for a, n in enumerate(grid.shape):
-        comp = grad.components[a]
-        lo = [slice(None)] * grid.dim
-        lo[a] = slice(0, n)
-        hi = [slice(None)] * grid.dim
-        hi[a] = slice(1, n + 1)
-        out += 0.5 * (comp[tuple(lo)] ** 2 + comp[tuple(hi)] ** 2)
-    return out.ravel()
+    ops = phi.grid.faces
+    return ops.cell_sq(ops.grad(phi.data))
 
 
 def chemical_potential(M: ModelConfig, phi: g.Field) -> g.Field:
@@ -417,29 +528,7 @@ def chemical_potential(M: ModelConfig, phi: g.Field) -> g.Field:
     double-integral energy on the bounded domain; switched off, the literal
     -J*phi form is produced instead.
     """
-    grid = phi.grid
-    mu = np.zeros(grid.n_cells)
-    P = M.potential
-    if M.gamma > 0:
-        a_face = _coefficient_faces(M, phi, M.diffusion)
-        mu -= M.gamma * g.weighted_div_grad(phi, a_face).data
-        da = np.asarray(M.diffusion.dfn(phi.data))
-        if np.any(da):
-            mu += M.gamma * 0.5 * da * grad_sq_cell(phi)
-    mu += np.asarray(P.dF(phi.data))
-    if M.sigma1:
-        mu -= P.theta0 * phi.data
-    if M.sigma2:
-        K = M.kernel.matrix(grid)
-        mu -= K.apply_values(phi.data)
-        if M.nonlocal_consistency:
-            mu += K.row_sums * phi.data
-    return g.Field(grid, mu)
-
-
-def _coefficient_faces(M: ModelConfig, phi: g.Field, spec) -> g.FaceField:
-    vals = g.Field(phi.grid, np.asarray(spec(phi.data)))
-    return g.face_average(vals, M.face_mode)
+    return g.Field(phi.grid, Evaluation(M, phi).mu)
 
 
 def energy(M: ModelConfig, phi: g.Field) -> float:
@@ -453,39 +542,9 @@ def energy(M: ModelConfig, phi: g.Field) -> float:
     convolution identity sum_ij K_ij (phi_i - phi_j)^2 = 2 (w phi, phi) -
     2 (J*phi, phi) with w the kernel row sums.
     """
-    grid = phi.grid
-    vol = grid.cell_volume
-    P = M.potential
-    E = float(np.sum(P.F(phi.data))) * vol
-    if M.sigma1:
-        E -= 0.5 * P.theta0 * float(np.dot(phi.data, phi.data)) * vol
-    if M.gamma > 0:
-        a_face = _coefficient_faces(M, phi, M.diffusion)
-        grad = g.gradient(phi)
-        sq = g.FaceField(grid, tuple(
-            w * c * c for w, c in zip(a_face.components, grad.components)
-        ))
-        E += 0.5 * M.gamma * g.face_sum(grid, sq)
-    if M.sigma2:
-        K = M.kernel.matrix(grid)
-        conv = K.apply_values(phi.data)
-        E += 0.5 * (float(np.dot(K.row_sums * phi.data, phi.data))
-                    - float(np.dot(conv, phi.data))) * vol
-    return E
+    return Evaluation(M, phi).energy
 
 
 def dissipation_rate(M: ModelConfig, phi: g.Field, mu: g.Field) -> float:
     """Instantaneous dissipation: alpha * sum m(phi)|grad mu|^2 + beta * sum (mu - mean)^2."""
-    grid = phi.grid
-    D = 0.0
-    if M.alpha > 0:
-        m_face = _coefficient_faces(M, phi, M.mobility)
-        grad = g.gradient(mu)
-        sq = g.FaceField(grid, tuple(
-            w * c * c for w, c in zip(m_face.components, grad.components)
-        ))
-        D += M.alpha * g.face_sum(grid, sq)
-    if M.beta > 0:
-        fluct = mu.data - mu.data.mean()
-        D += M.beta * float(np.dot(fluct, fluct)) * grid.cell_volume
-    return D
+    return Evaluation(M, phi, mu.data).dissipation

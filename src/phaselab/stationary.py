@@ -170,7 +170,7 @@ def solve_equilibrium(M: ph.ModelConfig, k: float, guess: g.Field,
         # gradient-square derivative dropped, trading quadratic convergence
         # for robustness
         if jac is None or not M.diffusion.is_constant:
-            a_face = ph._coefficient_faces(M, g.Field(grid, x), M.diffusion)
+            a_face = ph.Evaluation(M, g.Field(grid, x)).a_face
             S = -M.gamma * g.weighted_laplacian_matrix(grid, a_face)
             if jac is None:
                 jac = _BorderedJacobian(S)

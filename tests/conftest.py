@@ -21,6 +21,8 @@ from phaselab import (
     run,
 )
 from phaselab.dynamics import Trajectory
+from phaselab.errors import GridMismatchError
+from phaselab.grid import FaceField
 
 
 def make_synthetic_trajectory(times, *, grid=None, grad_mu=None, mu_fluct=None,
@@ -75,6 +77,132 @@ def dense_kernel(K) -> np.ndarray:
     dx = ix[:, None] - ix[None, :] + (nx - 1)
     dy = iy[:, None] - iy[None, :] + (ny - 1)
     return K.stencil[dx, dy]
+
+
+# ---------------------------------------------------------------------------
+# slice-based discrete operators on per-axis face arrays: oracles for the
+# library's face-difference operator (grid.faces)
+
+
+def gradient(phi: Field) -> FaceField:
+    """Face-centered differences of a cell field (slice-based oracle).
+
+    Interior face k between cells k-1 and k holds (phi[k]-phi[k-1])/h.
+    Boundary faces are zero for Neumann and wrap for periodic grids.
+    """
+    grid = phi.grid
+    u = phi.values_nd
+    comps = []
+    for a, (n, h) in enumerate(zip(grid.shape, grid.spacing)):
+        shape = tuple(n + 1 if a == b else m for b, m in enumerate(grid.shape))
+        g = np.zeros(shape)
+        interior = [slice(None)] * grid.dim
+        interior[a] = slice(1, n)
+        lo = [slice(None)] * grid.dim
+        lo[a] = slice(0, n - 1)
+        hi = [slice(None)] * grid.dim
+        hi[a] = slice(1, n)
+        g[tuple(interior)] = (u[tuple(hi)] - u[tuple(lo)]) / h
+        if grid.bc == "periodic":
+            first = [slice(None)] * grid.dim
+            first[a] = 0
+            last = [slice(None)] * grid.dim
+            last[a] = n
+            edge_lo = [slice(None)] * grid.dim
+            edge_lo[a] = n - 1
+            edge_hi = [slice(None)] * grid.dim
+            edge_hi[a] = 0
+            wrap = (u[tuple(edge_hi)] - u[tuple(edge_lo)]) / h
+            g[tuple(first)] = wrap
+            g[tuple(last)] = wrap
+        comps.append(g)
+    return FaceField(grid, tuple(comps))
+
+
+def face_average(phi: Field, mode: str = "arithmetic") -> FaceField:
+    """Interpolate cell values to faces, arithmetic or harmonic (oracle).
+
+    Boundary faces copy the adjacent cell value under Neumann (the flux there
+    is zero regardless) and wrap-average under periodic boundaries.
+    """
+    grid = phi.grid
+    u = phi.values_nd
+    comps = []
+    for a, n in enumerate(grid.shape):
+        shape = tuple(n + 1 if a == b else m for b, m in enumerate(grid.shape))
+        w = np.zeros(shape)
+        interior = [slice(None)] * grid.dim
+        interior[a] = slice(1, n)
+        lo = [slice(None)] * grid.dim
+        lo[a] = slice(0, n - 1)
+        hi = [slice(None)] * grid.dim
+        hi[a] = slice(1, n)
+        ul, uh = u[tuple(lo)], u[tuple(hi)]
+        if mode == "arithmetic":
+            w[tuple(interior)] = 0.5 * (ul + uh)
+        elif mode == "harmonic":
+            w[tuple(interior)] = 2.0 * ul * uh / (ul + uh)
+        else:
+            raise ValueError(f"unknown face averaging mode {mode!r}")
+        first = [slice(None)] * grid.dim
+        first[a] = 0
+        last = [slice(None)] * grid.dim
+        last[a] = n
+        cell_lo = [slice(None)] * grid.dim
+        cell_lo[a] = 0
+        cell_hi = [slice(None)] * grid.dim
+        cell_hi[a] = n - 1
+        if grid.bc == "periodic":
+            u0, u1 = u[tuple(cell_hi)], u[tuple(cell_lo)]
+            wrap = 0.5 * (u0 + u1) if mode == "arithmetic" else 2.0 * u0 * u1 / (u0 + u1)
+            w[tuple(first)] = wrap
+            w[tuple(last)] = wrap
+        else:
+            w[tuple(first)] = u[tuple(cell_lo)]
+            w[tuple(last)] = u[tuple(cell_hi)]
+        comps.append(w)
+    return FaceField(grid, tuple(comps))
+
+
+def weighted_div_grad(phi: Field, face_weights: FaceField) -> Field:
+    """div(w grad(phi)), slice by slice; zero-flux or wrap at boundaries (oracle).
+
+    The flux telescopes, so the cell-volume-weighted sum of the result is zero
+    to roundoff in both boundary modes.
+    """
+    grid = phi.grid
+    if face_weights.grid != grid:
+        raise GridMismatchError("operands live on different grids")
+    g = gradient(phi)
+    out = np.zeros(grid.shape)
+    for a, h in enumerate(grid.spacing):
+        flux = face_weights.components[a] * g.components[a]
+        lo = [slice(None)] * grid.dim
+        lo[a] = slice(0, grid.shape[a])
+        hi = [slice(None)] * grid.dim
+        hi[a] = slice(1, grid.shape[a] + 1)
+        out += (flux[tuple(hi)] - flux[tuple(lo)]) / h
+    return Field(grid, out.ravel())
+
+
+def face_sum(grid: Grid, face_values: FaceField) -> float:
+    """Sum face values times face volume, counting each physical face once."""
+    total = 0.0
+    vol = grid.cell_volume
+    for a in range(grid.dim):
+        sl = [slice(None)] * grid.dim
+        sl[a] = slice(1, None)
+        total += float(face_values.components[a][tuple(sl)].sum()) * vol
+    return total
+
+
+def unit_face_weights(grid: Grid) -> FaceField:
+    comps = tuple(
+        np.ones(tuple(n + 1 if a == b else m for b, m in enumerate(grid.shape)))
+        for a, n in enumerate(grid.shape)
+    )
+    return FaceField(grid, comps)
+
 
 
 @pytest.fixture(scope="session")

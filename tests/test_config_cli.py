@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from phaselab import Field, Grid, save_field
 from phaselab.analysis import classify_good_times
 from phaselab.cli import load_run, main
 from phaselab.config import ExperimentConfig, parse_config
@@ -121,6 +122,20 @@ sigma2 = 0
             "kind = cosine-perturbation", "kind = file")
         with pytest.raises(ValidationError):
             ExperimentConfig.from_string(text)
+
+
+    def test_file_initial_data_keeps_its_grid(self, tmp_path):
+        # 100 cells of 3.3 / 100: rebuilding the length as n * h would give
+        # 3.3000000000000003 and a grid that no longer matches the config
+        snap = tmp_path / "init.dat"
+        grid = Grid((100,), (3.3,))
+        save_field(snap, Field(grid, 0.1 + 0.05 * np.cos(2 * np.pi * grid.axes()[0] / 3.3)))
+        text = MINIMAL_AC.format(out=tmp_path / "run")
+        text = text.replace("nx = 64\nlx = 1.0", "nx = 100\nlx = 3.3")
+        text = text.replace("kind = cosine-perturbation", f"kind = file\npath = {snap}")
+        cfg = ExperimentConfig.from_string(text)
+        assert cfg.build_grid() == grid
+        assert cfg.build_initial_field(cfg.build_grid()).grid == grid
 
 
 class TestCLI:

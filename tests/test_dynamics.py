@@ -24,6 +24,7 @@ from phaselab import (
     step,
 )
 from phaselab import dynamics
+from phaselab import grid as g
 from phaselab.errors import NewtonDivergenceError, StepFloorError
 
 
@@ -112,6 +113,22 @@ class TestStep:
         assert 1.6 <= ratio <= 2.6
 
 
+    def test_commit_follows_an_implicit_pass(self):
+        # at this dt the unsolved start already meets 0.01 * newton_tol; the
+        # step must still solve once instead of committing an explicit step
+        M = ch_model()
+        grid = Grid((32,), (1.0,))
+        s = State(Field(grid, 0.1 + 0.3 * np.cos(2 * np.pi * grid.axes()[0])))
+        cfg = StepperConfig()
+        ws = dynamics._StepWorkspace(M, s.phi)
+        rhs = ws.rhs_of(ws.mu_of(s.phi.data))
+        dt = 1e-3 * cfg.newton_tol / float(np.linalg.norm(rhs))
+        r0 = dt * float(np.linalg.norm(rhs)) * np.sqrt(grid.cell_volume)
+        assert r0 <= 0.01 * cfg.newton_tol
+        out = step(M, s, dt, cfg)
+        assert out.newton_iters >= 1
+
+
 class TestRun:
     def test_equilibrium_stays_flat(self):
         M = ac_model()
@@ -171,6 +188,29 @@ class TestRun:
             run(M, phi0, 1.0, cfg)
         traj = err.value.trajectory
         assert traj is not None and not traj.complete
+
+    def test_nan_energy_is_an_energy_rejection(self):
+        # F is NaN at every state but the initial one, so each trial state's
+        # gate compares NaN: that must reject, not pass
+        base = PotentialSpec.logarithmic(0.3, 1.0)
+        grid = Grid((16,), (1.0,))
+        phi0 = Field(grid, 0.1 + 0.2 * np.cos(2 * np.pi * grid.axes()[0]))
+
+        def f0(s):
+            s = np.asarray(s, dtype=float)
+            if s.shape == phi0.data.shape and not np.array_equal(s, phi0.data):
+                return np.full(s.shape, np.nan)
+            return base.F(s)
+
+        P = PotentialSpec.custom(0.3, 1.0, f0, base.dF, base.d2F)
+        M = conserved_allen_cahn(P, beta=1.0, gamma=1e-2)
+        cfg = StepperConfig(dt_init=1e-3, dt_min=1e-6, dt_max=1e-3)
+        with pytest.raises(StepFloorError) as err:
+            run(M, phi0, 1.0, cfg)
+        traj = err.value.trajectory
+        assert traj.provenance["accepted"] == 0
+        assert traj.provenance["rejected"]["energy"] >= 1
+        assert np.all(np.isfinite(traj.energy))
 
     def test_rejects_inadmissible_initial_data(self):
         M = ac_model()
@@ -278,3 +318,34 @@ class TestLaggedJacobian:
         assert np.array_equal(reused.times, fresh.times)
         assert np.array_equal(reused.energy, fresh.energy)
         assert np.array_equal(reused.snapshots[-1][1].data, fresh.snapshots[-1][1].data)
+
+
+class TestOneEvaluationPerState:
+    def test_one_kernel_apply_per_gated_state(self, monkeypatch):
+        calls = []
+        real = g.KernelMatrix.apply_values
+        monkeypatch.setattr(g.KernelMatrix, "apply_values",
+                            lambda K, v: calls.append(1) or real(K, v))
+        M = nl_model()
+        grid = Grid((48,), (1.0,))
+        vals = np.clip(0.1 + 0.3 * rng(2).standard_normal(48), -0.85, 0.85)
+        cfg = StepperConfig(dt_init=1e-4, dt_max=1e-2, steady_tol=0.0)
+        traj = run(M, Field(grid, vals), 0.5, cfg)
+        gated = traj.provenance["accepted"] + traj.provenance["rejected"]["energy"]
+        assert traj.provenance["rejected"]["energy"] > 0
+        # one per state that reached the energy gate, one for the initial
+        # state and one for the kernel row sums
+        assert len(calls) == gated + 2
+
+    def test_laplacians_assembled_only_at_factorization(self, monkeypatch):
+        calls = []
+        real = g.weighted_laplacian_matrix
+        monkeypatch.setattr(g, "weighted_laplacian_matrix",
+                            lambda grid, w: calls.append(1) or real(grid, w))
+        M = ch_model()
+        grid = Grid((16, 16), (1.0, 1.0))
+        vals = rng(5).uniform(-0.05, 0.05, grid.n_cells)
+        cfg = StepperConfig(dt_init=1e-6, dt_max=1e-2, steady_tol=0.0)
+        traj = run(M, Field(grid, vals - vals.mean()), 1.3e-4, cfg)
+        assert len(traj.times) - 1 > traj.provenance["factorizations"]
+        assert len(calls) == 2 * traj.provenance["factorizations"]

@@ -9,22 +9,40 @@ from phaselab import (
     Grid,
     KernelMatrix,
     convolve,
-    gradient,
     inner,
     load_field,
     norm_h1_semi,
     norm_hminus1,
     norm_l2,
     save_field,
+)
+from phaselab.grid import FaceField, weighted_laplacian_matrix
+from phaselab.errors import GridMismatchError
+from conftest import (
+    dense_kernel,
+    face_average,
+    face_sum,
+    gradient,
+    unit_face_weights,
     weighted_div_grad,
 )
-from phaselab.grid import FaceField, face_average, face_sum, unit_face_weights, weighted_laplacian_matrix
-from phaselab.errors import GridMismatchError
-from conftest import dense_kernel
 
 
 def rng(seed=0):
     return np.random.default_rng(np.random.Philox(seed))
+
+
+class TestGridCache:
+    def test_cached_values_leave_equality_and_hash_alone(self):
+        a = Grid((6, 9), (1.0, 0.7), "periodic")
+        b = Grid((6, 9), (1.0, 0.7), "periodic")
+        h = hash(a)
+        assert (a.spacing, a.n_cells, a.cell_volume, a.volume) == \
+            ((1.0 / 6, 0.7 / 9), 54, (1.0 / 6) * (0.7 / 9), 0.7)
+        assert a.faces is a.faces
+        assert a == b and hash(a) == h == hash(b)
+        assert {b: 1}[a] == 1
+        assert a != Grid((6, 9), (1.0, 0.7))
 
 
 class TestGradient:
@@ -308,6 +326,37 @@ class TestFieldIO:
         f = load_field(p)
         assert f.grid.shape == (4,)
         assert np.allclose(f.data, [0.1, 0.2, 0.3, 0.4])
+
+    @pytest.mark.parametrize("shape,lengths", [((100,), (3.3,)), ((7, 100), (0.7, 3.3))])
+    def test_roundtrip_keeps_lengths(self, tmp_path, shape, lengths):
+        # n * h gives 3.3000000000000003 for 3.3 on 100 cells
+        grid = Grid(shape, lengths)
+        p = tmp_path / "snap.dat"
+        save_field(p, Field.constant(grid, 0.1))
+        assert load_field(p).grid == grid
+
+    def test_header_without_lengths_2d(self, tmp_path):
+        p = tmp_path / "snap.dat"
+        p.write_text("2 3 0.5 0.25 periodic\n" + "0.1\n" * 6)
+        f = load_field(p)
+        assert f.grid == Grid((2, 3), (1.0, 0.75), "periodic")
+
+    def test_header_lengths_must_match_spacing(self, tmp_path):
+        p = tmp_path / "snap.dat"
+        p.write_text("4 0.25 neumann 2.0\n0.1\n0.2\n0.3\n0.4\n")
+        with pytest.raises(ValueError):
+            load_field(p)
+
+    def test_body_bytes_equal_savetxt(self, tmp_path):
+        vals = np.array([-0.0, 5e-324, 2.2250738585072014e-308, 1.0 / 3.0, -2.5, 0.1,
+                         1e300, -1e-300, 0.0, 123456789.0])
+        grid = Grid((vals.size,), (1.0,))
+        p = tmp_path / "snap.dat"
+        save_field(p, Field(grid, vals))
+        ref = tmp_path / "ref.dat"
+        np.savetxt(ref, vals, fmt="%.17g")
+        body = p.read_bytes().split(b"\n", 1)[1]
+        assert body == ref.read_bytes()
 
     def test_field_invariants(self):
         grid = Grid((4,), (1.0,))

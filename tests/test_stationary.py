@@ -28,9 +28,9 @@ from phaselab import (
 )
 from phaselab import stationary
 from phaselab.errors import NewtonDivergenceError
-from phaselab.grid import face_average, weighted_laplacian_matrix
+from phaselab.grid import weighted_laplacian_matrix
 from phaselab.stationary import equilibrium_seeds
-from conftest import dense_kernel
+from conftest import dense_kernel, face_average
 
 
 def log_potential(theta=0.3, theta0=1.0):
