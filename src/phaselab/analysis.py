@@ -257,19 +257,19 @@ class IntegrabilityReport:
     Y: float                        # quadrature of Z^2 over the record
     hypothesis_holds: bool
     violation_time: float | None
-    integral: float | None          # int_{M_set} Z, only when the hypothesis holds
+    integral: float | None          # int Z over the record, only when the hypothesis holds
     checked: int
 
 
-def integrability_check(times, values, alpha_tilde: float, zeta: float,
-                        mask=None) -> IntegrabilityReport:
+def integrability_check(times, values, alpha_tilde: float,
+                        zeta: float) -> IntegrabilityReport:
     """Verify (int_s^inf Z^2)^alpha <= zeta Z(s)^2 on a sampled trace.
 
     Tails are computed with the right-endpoint rule, which underestimates the
     tail of a nonincreasing integrand: a reported violation is genuine, while
     equality cases pass cleanly.  When the hypothesis holds at every checked
-    sample, the trapezoid integral of Z over the mask is returned (the trace
-    is treated as supported on the recorded window).
+    sample, the trapezoid integral of Z is returned (the trace is treated as
+    supported on the recorded window).
     """
     if not (1.0 < alpha_tilde < 2.0):
         raise ValueError("alpha_tilde must lie in (1, 2)")
@@ -283,9 +283,6 @@ def integrability_check(times, values, alpha_tilde: float, zeta: float,
         raise ValueError("times must be strictly increasing")
     if np.any(Z < 0):
         raise ValueError("Z must be nonnegative")
-    if mask is None:
-        mask = np.ones_like(Z, dtype=bool)
-    mask = np.asarray(mask, dtype=bool)
 
     Z2 = Z * Z
     seg = np.diff(t)
@@ -294,35 +291,12 @@ def integrability_check(times, values, alpha_tilde: float, zeta: float,
     tail[:-1] = np.cumsum((Z2[1:] * seg)[::-1])[::-1]
 
     Y = float(np.trapezoid(Z2, t))
-    holds = True
-    violation = None
-    checked = 0
-    for i in np.nonzero(mask)[0]:
-        checked += 1
-        if tail[i] ** alpha_tilde > zeta * Z2[i]:
-            holds = False
-            violation = float(t[i])
-            break
-    integral = None
-    if holds:
-        integral = _masked_trapz(t, Z, mask)
-    return IntegrabilityReport(alpha_tilde, zeta, Y, holds, violation, integral, checked)
-
-
-def _masked_trapz(t, Z, mask) -> float:
-    """Trapezoid quadrature over contiguous True runs of the mask."""
-    total = 0.0
-    idx = np.nonzero(mask)[0]
-    if idx.size == 0:
-        return 0.0
-    splits = np.nonzero(np.diff(idx) > 1)[0]
-    start = 0
-    for s in list(splits) + [idx.size - 1]:
-        run = idx[start:s + 1]
-        if run.size >= 2:
-            total += float(np.trapezoid(Z[run], t[run]))
-        start = s + 1
-    return total
+    # the first sample that violates the hypothesis, if any
+    bad = next((i for i in range(Z.size) if tail[i] ** alpha_tilde > zeta * Z2[i]), None)
+    if bad is None:
+        return IntegrabilityReport(alpha_tilde, zeta, Y, True, None,
+                                   float(np.trapezoid(Z, t)), Z.size)
+    return IntegrabilityReport(alpha_tilde, zeta, Y, False, float(t[bad]), None, bad + 1)
 
 
 # ---------------------------------------------------------------------------

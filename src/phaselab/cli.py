@@ -24,7 +24,7 @@ from . import analysis as an
 from . import grid as g
 from . import stationary as st
 from .config import _SCHEMA, ExperimentConfig, parse_config
-from .dynamics import Trajectory, run
+from .dynamics import Trajectory, model_provenance, run
 from .errors import (
     DegenerateWindowError,
     InsufficientSnapshotsError,
@@ -45,6 +45,11 @@ def _resolve_outdir(cfg_dir: str) -> Path:
     return p
 
 
+def _write_json(path: Path, obj) -> Path:
+    path.write_text(json.dumps(obj, indent=2, sort_keys=True))
+    return path
+
+
 def _manifest(outdir: Path, digest: str, files, assertions: dict, started: float) -> dict:
     manifest = {
         "schema": SCHEMA_TAG,
@@ -54,10 +59,9 @@ def _manifest(outdir: Path, digest: str, files, assertions: dict, started: float
         "finished_at": datetime.datetime.now().isoformat(),
         "files": sorted(str(f) for f in files),
         "assertions": assertions,
-        "pass": all(assertions.values()) if assertions else True,
+        "pass": all(assertions.values()),
     }
-    path = outdir / "manifest.json"
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True))
+    _write_json(outdir / "manifest.json", manifest)
     return manifest
 
 
@@ -68,67 +72,55 @@ def _prepare_outdir(cfg: ExperimentConfig, exist_ok: bool = True) -> Path:
     return outdir
 
 
+def _write_csv(path: Path, header: str, rows) -> Path:
+    """Write rows of Python ints and floats, each value as its repr."""
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        fh.writelines(",".join(map(repr, row)) + "\n" for row in rows)
+    return path
+
+
 def _write_trajectory(outdir: Path, traj: Trajectory) -> list:
-    files = [outdir / "config.ini"]
-    csv_path = outdir / "diagnostics.csv"
-    traj.to_csv(csv_path)
-    files.append(csv_path)
+    files = [outdir / "config.ini", outdir / "diagnostics.csv"]
+    traj.to_csv(files[-1])
     # snapshots are named by the accepted-step sample they belong to
-    steps = np.searchsorted(traj.times, [t for t, _ in traj.snapshots])
-    times_path = outdir / "snapshot_times.csv"
-    with open(times_path, "w") as fh:
-        fh.write("step,t\n")
-        for step, (t, f) in zip(steps, traj.snapshots):
-            p = outdir / f"snap_{int(step):06d}.dat"
-            g.save_field(p, f)
-            files.append(p)
-            fh.write(f"{int(step)},{float(t)!r}\n")
-    files.append(times_path)
+    times = [float(t) for t, _ in traj.snapshots]
+    steps = np.searchsorted(traj.times, times).tolist()
+    for step, (_, f) in zip(steps, traj.snapshots):
+        files.append(outdir / f"snap_{step:06d}.dat")
+        g.save_field(files[-1], f)
+    files.append(_write_csv(outdir / "snapshot_times.csv", "step,t", zip(steps, times)))
     return files
+
+
+def _simulate(cfg: ExperimentConfig, outdir: Path) -> dict:
+    """Integrate cfg and write its run record into the prepared outdir.
+
+    The manifest asserts that the run completed and every invariant that
+    ``Trajectory.verify`` re-checks from the recorded series.
+    """
+    started = time.time()
+    stepper = cfg.build_stepper()
+    failed = None
+    try:
+        traj = run(cfg.build_model(), cfg.build_initial_field(cfg.build_grid()),
+                   cfg.t_max, stepper, provenance=cfg.provenance())
+    except StepFloorError as exc:
+        traj, failed = exc.trajectory, str(exc)
+    files = _write_trajectory(outdir, traj)
+    checks = traj.verify(tol_e=stepper.tol_e)
+    del checks["ok"]
+    summary = {"schema": SCHEMA_TAG, "config_digest": cfg.digest(), "error": failed,
+               **traj.summary()}
+    files.append(_write_json(outdir / "summary.json", summary))
+    return _manifest(outdir, cfg.digest(), files, {"complete": traj.complete, **checks},
+                     started)
 
 
 def cmd_simulate(args) -> int:
     cfg = parse_config(args.config)
     outdir = _prepare_outdir(cfg)
-    started = time.time()
-    grid = cfg.build_grid()
-    model = cfg.build_model()
-    stepper = cfg.build_stepper()
-    phi0 = cfg.build_initial_field(grid)
-    prov = {"config_digest": cfg.digest(), "initial": cfg.initial_summary()}
-    failed = None
-    try:
-        traj = run(model, phi0, cfg.t_max, stepper, provenance=prov)
-    except StepFloorError as exc:
-        traj = exc.trajectory
-        failed = str(exc)
-    files = _write_trajectory(outdir, traj)
-    checks = traj.verify(tol_e=stepper.tol_e)
-    assertions = {
-        "complete": traj.complete,
-        "mass_conserved": checks["mass_conserved"],
-        "mass_per_step": checks["mass_per_step"],
-        "energy_inequality": checks["energy_inequality"],
-        "strict_bounds": checks["strict_bounds"],
-        "finite": checks["finite"],
-    }
-    summary = {
-        "schema": SCHEMA_TAG,
-        "config_digest": cfg.digest(),
-        "t_end": float(traj.times[-1]),
-        "final_dissipation_norm": float(traj.dissipation_norm_series()[-1]),
-        "final_energy": float(traj.energy[-1]),
-        "mass_drift": float(np.max(np.abs(traj.mass - traj.mass[0]))),
-        "accepted": traj.provenance.get("accepted"),
-        "rejected": traj.provenance.get("rejected"),
-        "factorizations": traj.provenance.get("factorizations"),
-        "wall_time_s": traj.provenance.get("wall_time_s"),
-        "stop_reason": traj.provenance.get("stop_reason"),
-        "error": failed,
-    }
-    (outdir / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True))
-    files.append(outdir / "summary.json")
-    manifest = _manifest(outdir, cfg.digest(), files, assertions, started)
+    manifest = _simulate(cfg, outdir)
     print(f"simulate: {outdir}  pass={manifest['pass']}")
     return 0 if manifest["pass"] else 1
 
@@ -160,14 +152,11 @@ def cmd_equilibrium(args) -> int:
         converged += 1
         snap = outdir / f"{key}.dat"
         g.save_field(snap, eq.phi_inf)
-        sidecar = outdir / f"{key}.json"
-        sidecar.write_text(json.dumps(eq.sidecar(), indent=2, sort_keys=True))
-        files += [snap, sidecar]
+        files += [snap, _write_json(outdir / f"{key}.json", eq.sidecar())]
         assertions[key] = (eq.residual_l2 <= pars["eq_tol"] and eq.delta > 0)
         results.append(eq.sidecar())
     assertions["any_converged"] = converged > 0
-    (outdir / "equilibria.json").write_text(json.dumps(results, indent=2, sort_keys=True))
-    files.append(outdir / "equilibria.json")
+    files.append(_write_json(outdir / "equilibria.json", results))
     manifest = _manifest(outdir, cfg.digest(), files, assertions, started)
     print(f"equilibrium: {outdir}  pass={manifest['pass']}")
     return 0 if manifest["pass"] else 1
@@ -177,49 +166,24 @@ def load_run(run_dir) -> Trajectory:
     """Rebuild a Trajectory (with model) from a simulate output directory."""
     run_dir = Path(run_dir)
     cfg = parse_config(run_dir / "config.ini")
-    data = np.genfromtxt(run_dir / "diagnostics.csv", delimiter=",", names=True)
-    data = np.atleast_1d(data)
     model = cfg.build_model()
     snaps = []
     times_file = run_dir / "snapshot_times.csv"
     if times_file.exists():
-        rows = np.genfromtxt(times_file, delimiter=",", names=True)
-        rows = np.atleast_1d(rows)
-        for step, t in zip(rows["step"].astype(int), rows["t"]):
-            f = g.load_field(run_dir / f"snap_{step:06d}.dat")
-            snaps.append((float(t), f))
+        rows = np.atleast_1d(np.genfromtxt(times_file, delimiter=",", names=True))
+        snaps = [(float(t), g.load_field(run_dir / f"snap_{step:06d}.dat"))
+                 for step, t in zip(rows["step"].astype(int), rows["t"])]
     grid = snaps[0][1].grid if snaps else cfg.build_grid()
-    return Trajectory(
-        grid=grid,
-        times=data["t"],
-        mass=data["mass"],
-        energy=data["energy"],
-        dissipation=data["dissipation"],
-        grad_mu_l2=data["grad_mu_l2"],
-        mu_fluct_l2=data["mu_fluct_l2"],
-        phi_min=data["phi_min"],
-        phi_max=data["phi_max"],
-        sep_margin=data["sep_margin"],
-        dt=data["dt"],
-        newton_iters=data["newton_iters"].astype(int),
-        snapshots=snaps,
-        provenance={
-            "dissipation_norm": model.dissipation_norm,
-            "m_star": model.mobility.m_star,
-            "preset": model.preset,
-            "alpha": model.alpha,
-            "beta": model.beta,
-            "gamma": model.gamma,
-            "config_digest": cfg.digest(),
-        },
-        model=model,
-        complete=True,
-    )
+    return Trajectory.read_csv(run_dir / "diagnostics.csv", grid, snapshots=snaps,
+                               provenance={**model_provenance(model), **cfg.provenance()},
+                               model=model)
 
 
-def _analysis_report(traj: Trajectory, pars: dict) -> tuple[dict, dict]:
+def _analysis_report(traj: Trajectory, pars: dict) -> tuple[dict, dict, list]:
+    """The report, the manifest assertions and the (delta, level-set series) pairs."""
     report: dict = {}
     assertions: dict = {}
+    t0, t1 = float(traj.times[0]), float(traj.times[-1])
 
     good_entries = []
     gts_for_fit = None
@@ -237,6 +201,7 @@ def _analysis_report(traj: Trajectory, pars: dict) -> tuple[dict, dict]:
         gts_for_fit = gts if gts.chain_ok else gts_for_fit
     report["good_times"] = good_entries
 
+    level_sets = []
     level_entries = []
     delta_star = None
     t_star = None
@@ -245,6 +210,7 @@ def _analysis_report(traj: Trajectory, pars: dict) -> tuple[dict, dict]:
             rep = an.level_set_series(traj, delta, pars["window_frac"])
         except InsufficientSnapshotsError:
             continue
+        level_sets.append((delta, rep))
         delta_star, t_star = rep.delta_star, rep.T_star
         level_entries.append({
             "delta": delta,
@@ -256,7 +222,6 @@ def _analysis_report(traj: Trajectory, pars: dict) -> tuple[dict, dict]:
     degiorgi = None
     dg_delta = pars["degiorgi_delta"] or (0.95 * delta_star if delta_star else None)
     if dg_delta:
-        t0, t1 = float(traj.times[0]), float(traj.times[-1])
         start = t_star if t_star is not None else t0 + 0.5 * (t1 - t0)
         tau = pars["degiorgi_tau"] or max((t1 - start) / 3.5, 1e-9)
         try:
@@ -271,7 +236,8 @@ def _analysis_report(traj: Trajectory, pars: dict) -> tuple[dict, dict]:
     loja = None
     if gts_for_fit is not None:
         try:
-            fit = an.lojasiewicz_fit(traj, gts_for_fit)
+            lo = t0 + pars["loja_window_frac"] * (t1 - t0)
+            fit = an.lojasiewicz_fit(traj, gts_for_fit, window=(lo, t1))
             loja = {"theta": fit.theta, "C": fit.C, "fit_r2": fit.r2,
                     "E_inf": fit.e_inf}
         except DegenerateWindowError as exc:
@@ -293,7 +259,7 @@ def _analysis_report(traj: Trajectory, pars: dict) -> tuple[dict, dict]:
     except InsufficientSnapshotsError as exc:
         omega = {"error": str(exc)}
     report["omega"] = omega
-    return report, assertions
+    return report, assertions, level_sets
 
 
 def cmd_analyze(args) -> int:
@@ -308,28 +274,14 @@ def cmd_analyze(args) -> int:
         pars["delta_levels"] = tuple(float(x) for x in args.delta)
     started = time.time()
     traj = load_run(run_dir)
-    report, assertions = _analysis_report(traj, pars)
-    report_path = run_dir / "report.json"
-    report_path.write_text(json.dumps(report, indent=2, sort_keys=True))
-    files = [report_path]
-    for delta in pars["delta_levels"]:
-        try:
-            rep = an.level_set_series(traj, delta, pars["window_frac"])
-        except InsufficientSnapshotsError:
-            continue
-        p = run_dir / f"level_set_delta{delta:g}.csv"
-        with open(p, "w") as fh:
-            fh.write("t,measure\n")
-            for t, m in zip(rep.times, rep.measures):
-                fh.write(f"{float(t)!r},{float(m)!r}\n")
-        files.append(p)
-    if report.get("degiorgi") and "y" in (report["degiorgi"] or {}):
-        p = run_dir / "degiorgi_y.csv"
-        with open(p, "w") as fh:
-            fh.write("n,y\n")
-            for n, y in enumerate(report["degiorgi"]["y"]):
-                fh.write(f"{n},{float(y)!r}\n")
-        files.append(p)
+    report, assertions, level_sets = _analysis_report(traj, pars)
+    files = [_write_json(run_dir / "report.json", report)]
+    for delta, rep in level_sets:
+        files.append(_write_csv(run_dir / f"level_set_delta{delta:g}.csv", "t,measure",
+                                zip(map(float, rep.times), map(float, rep.measures))))
+    if "y" in (report["degiorgi"] or {}):
+        files.append(_write_csv(run_dir / "degiorgi_y.csv", "n,y",
+                                enumerate(report["degiorgi"]["y"])))
     manifest = _manifest(run_dir, cfg.digest(), files, assertions, started)
     print(f"analyze: {run_dir}  pass={manifest['pass']}")
     return 0 if manifest["pass"] else 1
@@ -364,26 +316,10 @@ def cmd_lemmas(args) -> int:
     raise SystemExit(f"unknown lemma {args.lemma!r}")
 
 
-def _sweep_worker(payload) -> tuple[str, bool]:
-    text, outdir = payload
+def _sweep_worker(text: str) -> tuple[str, bool]:
     cfg = ExperimentConfig.from_string(text)
-    cfg.values["output"]["dir"] = outdir
-    outpath = _prepare_outdir(cfg, exist_ok=False)
-    grid = cfg.build_grid()
-    model = cfg.build_model()
-    stepper = cfg.build_stepper()
-    phi0 = cfg.build_initial_field(grid)
-    started = time.time()
-    try:
-        traj = run(model, phi0, cfg.t_max, stepper,
-                   provenance={"config_digest": cfg.digest()})
-        ok = traj.verify(tol_e=stepper.tol_e)["ok"]
-    except StepFloorError as exc:
-        traj = exc.trajectory
-        ok = False
-    files = _write_trajectory(outpath, traj)
-    _manifest(outpath, cfg.digest(), files, {"run": ok}, started)
-    return outdir, ok
+    outdir = _prepare_outdir(cfg, exist_ok=False)
+    return str(outdir), _simulate(cfg, outdir)["pass"]
 
 
 def cmd_sweep(args) -> int:
@@ -400,20 +336,21 @@ def cmd_sweep(args) -> int:
         variant = ExperimentConfig.from_string(cfg.canonical())
         conv, _ = _SCHEMA[section][name]
         variant.values[section][name] = conv(val)
+        # unresolved, like the base dir: the worker resolves it once
+        variant.values["output"]["dir"] = str(Path(cfg.output_dir) / f"{section}.{name}={val}")
         variant.validate()
-        outdir = base / f"{section}.{name}={val}"
+        outdir = _resolve_outdir(variant.output_dir)
         if outdir.exists():
             raise SystemExit(f"sweep output collision: {outdir}")
-        payloads.append((variant.canonical(), str(outdir)))
-    results = []
+        payloads.append(variant.canonical())
     if len(payloads) == 1:
-        results.append(_sweep_worker(payloads[0]))
+        results = [_sweep_worker(payloads[0])]
     else:
         with concurrent.futures.ProcessPoolExecutor(
                 max_workers=min(4, len(payloads))) as pool:
             results = list(pool.map(_sweep_worker, payloads))
-    agg = {outdir: ok for outdir, ok in results}
-    (base / "sweep_manifest.json").write_text(json.dumps(agg, indent=2, sort_keys=True))
+    agg = dict(results)
+    _write_json(base / "sweep_manifest.json", agg)
     print(json.dumps(agg, indent=2, sort_keys=True))
     return 0 if all(agg.values()) else 1
 

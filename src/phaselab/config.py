@@ -11,7 +11,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -161,6 +161,10 @@ class ExperimentConfig:
             raise ValidationError("grid dim must be 1 or 2")
         if v["grid"]["bc"] not in (g.NEUMANN, g.PERIODIC):
             raise ValidationError(f"unknown boundary mode {v['grid']['bc']!r}")
+        if v["potential"]["kind"] != "logarithmic":
+            # a custom potential needs callables, which a config file cannot carry
+            raise ValidationError(
+                f"unknown potential kind {v['potential']['kind']!r}; only logarithmic")
         k = v["initial"]["mean"]
         if not (-1.0 < k < 1.0):
             raise ValidationError(
@@ -262,13 +266,9 @@ class ExperimentConfig:
                               nonlocal_consistency=consistency)
 
     def build_stepper(self) -> StepperConfig:
+        # every stepper setting is a [time] key of the same name
         t = self.values["time"]
-        return StepperConfig(
-            dt_init=t["dt_init"], dt_min=t["dt_min"], dt_max=t["dt_max"],
-            newton_tol=t["newton_tol"], newton_max_iter=t["newton_max_iter"],
-            tol_e=t["tol_e"], snapshot_every=t["snapshot_every"],
-            steady_tol=t["steady_tol"], steady_dwell=t["steady_dwell"],
-        )
+        return StepperConfig(**{f.name: t[f.name] for f in fields(StepperConfig)})
 
     def build_initial_field(self, grid: g.Grid) -> g.Field:
         iv = self.values["initial"]
@@ -309,10 +309,12 @@ class ExperimentConfig:
     def analysis_params(self) -> dict:
         return dict(self.values["analysis"])
 
-    def initial_summary(self) -> dict:
+    def provenance(self) -> dict:
+        """What a run records about the config that produced it."""
         iv = self.values["initial"]
-        return {"kind": iv["kind"], "mean": iv["mean"],
-                "amplitude": iv["amplitude"], "seed": iv["seed"]}
+        return {"config_digest": self.digest(),
+                "initial": {"kind": iv["kind"], "mean": iv["mean"],
+                            "amplitude": iv["amplitude"], "seed": iv["seed"]}}
 
 
 def parse_config(path) -> ExperimentConfig:

@@ -57,20 +57,18 @@ from . import physics as ph
 from .errors import (
     BoundsViolationError,
     NewtonDivergenceError,
+    ParseError,
     StepFloorError,
-    ValidationError,
 )
 
 
 @dataclass
 class State:
-    """Evolving field plus bookkeeping from the step that produced it."""
+    """Evolving field plus the Newton count of the step that produced it."""
 
     phi: g.Field
     t: float = 0.0
     newton_iters: int = 0
-    dt_used: float = 0.0
-    energy: float = float("nan")
 
 
 @dataclass
@@ -80,13 +78,10 @@ class StepperConfig:
     dt_max: float = 1e-2
     newton_tol: float = 1e-10
     newton_max_iter: int = 50
-    max_backtracks: int = 40
     tol_e: float = 1e-10
     snapshot_every: int = 50
     steady_tol: float = 1e-9
     steady_dwell: int = 100
-    grow_factor: float = 1.2
-    grow_every: int = 5
 
     def __post_init__(self):
         if not (0 < self.dt_min <= self.dt_init <= self.dt_max):
@@ -95,9 +90,37 @@ class StepperConfig:
             raise ValueError("tolerances must be positive")
 
 
+# Trajectory attribute -> (diagnostics.csv column, value type), in CSV order.
+# The recorder, to_csv and read_csv all iterate over this one table.
+DIAGNOSTICS = {
+    "times": ("t", float),
+    "mass": ("mass", float),
+    "energy": ("energy", float),
+    "dissipation": ("dissipation", float),
+    "grad_mu_l2": ("grad_mu_l2", float),
+    "mu_fluct_l2": ("mu_fluct_l2", float),
+    "phi_min": ("phi_min", float),
+    "phi_max": ("phi_max", float),
+    "sep_margin": ("sep_margin", float),
+    "dt": ("dt", float),
+    "newton_iters": ("newton_iters", int),
+}
+
+
+def model_provenance(M: ph.ModelConfig) -> dict:
+    """The model constants the analysis layer reads from a trajectory's provenance."""
+    return {"dissipation_norm": M.dissipation_norm, "m_star": M.mobility.m_star,
+            "preset": M.preset, "alpha": M.alpha, "beta": M.beta, "gamma": M.gamma}
+
+
 @dataclass
 class Trajectory:
-    """Per-step diagnostics plus sparse field snapshots of one run."""
+    """Per-step diagnostics plus sparse field snapshots of one run.
+
+    The per-step series are the attributes named in ``DIAGNOSTICS``, which
+    also fixes their ``diagnostics.csv`` columns, so a trajectory written with
+    ``to_csv`` and read back with ``read_csv`` has the same series bit for bit.
+    """
 
     grid: g.Grid
     times: np.ndarray
@@ -116,10 +139,22 @@ class Trajectory:
     model: ph.ModelConfig | None = None
     complete: bool = True
 
-    CSV_COLUMNS = (
-        "t,mass,energy,dissipation,grad_mu_l2,mu_fluct_l2,"
-        "phi_min,phi_max,sep_margin,dt,newton_iters"
-    )
+    CSV_COLUMNS = ",".join(col for col, _ in DIAGNOSTICS.values())
+
+    @classmethod
+    def from_series(cls, grid: g.Grid, series, **rest) -> "Trajectory":
+        """Build from a mapping of ``DIAGNOSTICS`` attribute -> sequence of values."""
+        return cls(grid=grid, **{attr: np.asarray(series[attr], dtype=kind)
+                                 for attr, (_, kind) in DIAGNOSTICS.items()}, **rest)
+
+    @classmethod
+    def read_csv(cls, path, grid: g.Grid, **rest) -> "Trajectory":
+        """Read the series that ``to_csv`` wrote; ``rest`` as for the constructor."""
+        data = np.atleast_1d(np.genfromtxt(path, delimiter=",", names=True))
+        if ",".join(data.dtype.names) != cls.CSV_COLUMNS:
+            raise ParseError(f"{path}: columns {data.dtype.names} are not {cls.CSV_COLUMNS}")
+        return cls.from_series(grid, {attr: data[col] for attr, (col, _) in DIAGNOSTICS.items()},
+                               **rest)
 
     @property
     def dissipation_norm_kind(self) -> str:
@@ -131,16 +166,23 @@ class Trajectory:
         return self.grad_mu_l2
 
     def to_csv(self, path):
+        cols = [np.asarray(getattr(self, attr), dtype=kind).tolist()
+                for attr, (_, kind) in DIAGNOSTICS.items()]
         with open(path, "w") as fh:
             fh.write(self.CSV_COLUMNS + "\n")
-            for k in range(len(self.times)):
-                row = [
-                    self.times[k], self.mass[k], self.energy[k], self.dissipation[k],
-                    self.grad_mu_l2[k], self.mu_fluct_l2[k], self.phi_min[k],
-                    self.phi_max[k], self.sep_margin[k], self.dt[k],
-                ]
-                fh.write(",".join(repr(float(v)) for v in row))
-                fh.write(f",{int(self.newton_iters[k])}\n")
+            fh.writelines(",".join(map(repr, row)) + "\n" for row in zip(*cols))
+
+    def summary(self) -> dict:
+        """The end state and the stepper's counts, as ``summary.json`` records them."""
+        p = self.provenance
+        return {
+            "t_end": float(self.times[-1]),
+            "final_dissipation_norm": float(self.dissipation_norm_series()[-1]),
+            "final_energy": float(self.energy[-1]),
+            "mass_drift": float(np.max(np.abs(self.mass - self.mass[0]))),
+            **{k: p.get(k) for k in
+               ("accepted", "rejected", "factorizations", "wall_time_s", "stop_reason")},
+        }
 
     def verify(self, tol_mass: float = 1e-10, tol_mass_step: float = 1e-14,
                tol_e: float = 1e-10) -> dict:
@@ -177,15 +219,11 @@ MIN_CONTRACTION = 4.0
 CHORD_RTOL = 1e-8
 # Below this relative size the Sherman-Morrison denominator is cancellation noise.
 SM_DENOM_FLOOR = 1e-12
-
-
-def _check_convexity_floor(d2f: np.ndarray, theta: float):
-    """The entropy convexity floor F'' >= theta is a contract, not advice."""
-    if float(d2f.min()) < theta * (1.0 - 1e-9):
-        raise ValidationError(
-            "F'' dipped below theta during Jacobian assembly; the supplied "
-            "potential violates its convexity contract"
-        )
+# Step-size control: after GROW_EVERY clean steps dt grows by GROW_FACTOR (up to dt_max).
+GROW_FACTOR = 1.2
+GROW_EVERY = 5
+# A Newton pass with a fresh LU halves its damping at most this often.
+MAX_BACKTRACKS = 40
 
 
 class _StepWorkspace:
@@ -255,8 +293,7 @@ class _StepWorkspace:
         """
         M = self.M
         n = self.n
-        c = np.asarray(self.P.d2F(x))
-        _check_convexity_floor(c, self.P.theta)
+        c = self.P.d2F_checked(x)
         if self.w is not None:
             c = c + self.w
         eye = sp.identity(n, format="csr")
@@ -335,7 +372,7 @@ def step(M: ph.ModelConfig, s: State, dt: float, cfg: StepperConfig,
             lam = 1.0
             accepted = False
             best = (rnorm, x, rhs)
-            for _ in range(cfg.max_backtracks if fresh else 1):
+            for _ in range(MAX_BACKTRACKS if fresh else 1):
                 xn = x + lam * delta
                 if np.max(np.abs(xn)) >= limit:
                     lam *= 0.5
@@ -370,53 +407,35 @@ def step(M: ph.ModelConfig, s: State, dt: float, cfg: StepperConfig,
     phi_new = phi + dt * rhs  # mass-exact commit: mean(rhs) telescopes to 0
     if not np.max(np.abs(phi_new)) < limit:  # NaN counts as a violation
         raise BoundsViolationError("post-solve values hit the guard band; reduce dt")
-    return State(g.Field(grid, phi_new), s.t + dt, newton_iters=iters, dt_used=dt)
+    return State(g.Field(grid, phi_new), s.t + dt, newton_iters=iters)
 
 
 class _Recorder:
+    """One ``DIAGNOSTICS`` row per accepted state, plus the sampled snapshots."""
+
     def __init__(self):
-        self.rows = {k: [] for k in (
-            "times", "mass", "energy", "dissipation", "grad_mu_l2", "mu_fluct_l2",
-            "phi_min", "phi_max", "sep_margin", "dt", "newton_iters")}
+        self.rows = {attr: [] for attr in DIAGNOSTICS}
         self.snapshots = []
 
     def sample(self, state: State, dt: float, snapshot: bool, ev: ph.Evaluation):
         phi = state.phi
-        r = self.rows
-        r["times"].append(state.t)
-        r["mass"].append(phi.mean())
-        r["energy"].append(ev.energy)
-        r["dissipation"].append(ev.dissipation)
-        r["grad_mu_l2"].append(ev.grad_mu_l2)
-        r["mu_fluct_l2"].append(ev.mu_fluct_l2)
-        r["phi_min"].append(float(phi.data.min()))
-        r["phi_max"].append(float(phi.data.max()))
-        r["sep_margin"].append(1.0 - float(np.max(np.abs(phi.data))))
-        r["dt"].append(dt)
-        r["newton_iters"].append(state.newton_iters)
+        values = {
+            "times": state.t,
+            "mass": phi.mean(),
+            "energy": ev.energy,
+            "dissipation": ev.dissipation,
+            "grad_mu_l2": ev.grad_mu_l2,
+            "mu_fluct_l2": ev.mu_fluct_l2,
+            "phi_min": float(phi.data.min()),
+            "phi_max": float(phi.data.max()),
+            "sep_margin": 1.0 - float(np.max(np.abs(phi.data))),
+            "dt": dt,
+            "newton_iters": state.newton_iters,
+        }
+        for attr, row in self.rows.items():
+            row.append(values[attr])
         if snapshot:
             self.snapshots.append((state.t, phi.copy()))
-
-    def build(self, grid, provenance, model, complete) -> Trajectory:
-        r = self.rows
-        return Trajectory(
-            grid=grid,
-            times=np.array(r["times"]),
-            mass=np.array(r["mass"]),
-            energy=np.array(r["energy"]),
-            dissipation=np.array(r["dissipation"]),
-            grad_mu_l2=np.array(r["grad_mu_l2"]),
-            mu_fluct_l2=np.array(r["mu_fluct_l2"]),
-            phi_min=np.array(r["phi_min"]),
-            phi_max=np.array(r["phi_max"]),
-            sep_margin=np.array(r["sep_margin"]),
-            dt=np.array(r["dt"]),
-            newton_iters=np.array(r["newton_iters"], dtype=int),
-            snapshots=self.snapshots,
-            provenance=provenance,
-            model=model,
-            complete=complete,
-        )
 
 
 def run(M: ph.ModelConfig, phi0: g.Field, t_max: float, cfg: StepperConfig | None = None,
@@ -424,8 +443,8 @@ def run(M: ph.ModelConfig, phi0: g.Field, t_max: float, cfg: StepperConfig | Non
     """Adaptive integration to t_max (or steady state), fully diagnosed.
 
     Steps failing Newton, the pointwise guard, or the one-step energy
-    inequality are rejected and retried with dt/2; after grow_every clean
-    steps dt grows by grow_factor up to dt_max.  Raises StepFloorError (with
+    inequality are rejected and retried with dt/2; after GROW_EVERY clean
+    steps dt grows by GROW_FACTOR up to dt_max.  Raises StepFloorError (with
     the partial trajectory attached) if dt_min is reached while still failing.
     """
     cfg = cfg or StepperConfig()
@@ -437,13 +456,7 @@ def run(M: ph.ModelConfig, phi0: g.Field, t_max: float, cfg: StepperConfig | Non
     start = phi0.copy()
     np.clip(start.data, -(1.0 - eps), 1.0 - eps, out=start.data)
 
-    prov = dict(provenance or {})
-    prov.setdefault("dissipation_norm", M.dissipation_norm)
-    prov.setdefault("m_star", M.mobility.m_star)
-    prov.setdefault("preset", M.preset)
-    prov.setdefault("alpha", M.alpha)
-    prov.setdefault("beta", M.beta)
-    prov.setdefault("gamma", M.gamma)
+    prov = {**model_provenance(M), **(provenance or {})}
 
     rec = _Recorder()
     state = State(start, 0.0)
@@ -464,7 +477,8 @@ def run(M: ph.ModelConfig, phi0: g.Field, t_max: float, cfg: StepperConfig | Non
         out = dict(prov, accepted=accepted, rejected=dict(rejected),
                    factorizations=ws.factorizations,
                    wall_time_s=_time.perf_counter() - t0, stop_reason=reason)
-        return rec.build(phi0.grid, out, M, complete)
+        return Trajectory.from_series(phi0.grid, rec.rows, snapshots=rec.snapshots,
+                                      provenance=out, model=M, complete=complete)
 
     while state.t < t_max - 1e-14 * max(1.0, t_max):
         dt_step = min(dt, t_max - state.t)
@@ -492,14 +506,14 @@ def run(M: ph.ModelConfig, phi0: g.Field, t_max: float, cfg: StepperConfig | Non
             continue
 
         state = new_state
-        state.energy = e_prev = ev.energy
+        e_prev = ev.energy
         ws.freeze(ev)
         accepted += 1
         rec.sample(state, dt_step, accepted % cfg.snapshot_every == 0, ev)
 
         clean += 1
-        if clean >= cfg.grow_every:
-            dt = min(dt * cfg.grow_factor, cfg.dt_max)
+        if clean >= GROW_EVERY:
+            dt = min(dt * GROW_FACTOR, cfg.dt_max)
             clean = 0
 
         dissnorm = ev.grad_mu_l2 if M.dissipation_norm == "grad_mu" else ev.mu_fluct_l2

@@ -126,6 +126,20 @@ class PotentialSpec:
     def d2F(self, s):
         return self._f2(self._check_domain(s, 2))
 
+    def d2F_checked(self, s) -> np.ndarray:
+        """F''(s), raising ValidationError where it dips below the floor theta.
+
+        The contract battery samples F'' on a fixed grid only; the Jacobians
+        rely on the floor at their actual iterates, so they read F'' here.
+        """
+        d2 = np.asarray(self.d2F(s))
+        if float(d2.min()) < self.theta * (1.0 - 1e-9):
+            raise ValidationError(
+                "F'' dipped below theta during Jacobian assembly; the supplied "
+                "potential violates its convexity contract"
+            )
+        return d2
+
     def inverse_dF(self, psi):
         """(F')^{-1}: maps all of R strictly inside (-1, 1).
 

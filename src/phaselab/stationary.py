@@ -27,7 +27,7 @@ from scipy.optimize import brentq
 
 from . import grid as g
 from . import physics as ph
-from .errors import NewtonDivergenceError, SeparationFailureError, ValidationError
+from .errors import NewtonDivergenceError, SeparationFailureError
 
 
 @dataclass
@@ -176,9 +176,7 @@ def solve_equilibrium(M: ph.ModelConfig, k: float, guess: g.Field,
                 jac = _BorderedJacobian(S)
             else:
                 jac.set_local(S)
-        d2 = np.asarray(P.d2F(x))
-        if float(d2.min()) < P.theta * (1.0 - 1e-9):
-            raise ValidationError("F'' dipped below theta during Jacobian assembly")
+        d2 = P.d2F_checked(x)
         rhs = np.concatenate([-r1, [-r2]])
         delta = jac.solve(d2 + shift, 1.0 / n, rhs, K, 1.0, iters, rnorm)
         lam = 1.0

@@ -11,9 +11,9 @@ import pytest
 
 from phaselab import Field, Grid, save_field
 from phaselab.analysis import classify_good_times
-from phaselab.cli import load_run, main
+from phaselab.cli import _analysis_report, load_run, main
 from phaselab.config import ExperimentConfig, parse_config
-from phaselab.dynamics import run
+from phaselab.dynamics import DIAGNOSTICS, Trajectory, run
 from phaselab.errors import ParseError, ValidationError
 
 MINIMAL_AC = """
@@ -117,6 +117,13 @@ sigma2 = 0
         with pytest.raises(ValidationError):
             ExperimentConfig.from_string("[model]\nalpha = 1.0\n")
 
+    def test_unknown_potential_kind_rejected(self):
+        # a custom potential needs callables; a config must not run the
+        # logarithmic one in its place
+        text = MINIMAL_AC.format(out="run").replace("[potential]", "[potential]\nkind = custom")
+        with pytest.raises(ValidationError, match="potential kind"):
+            ExperimentConfig.from_string(text)
+
     def test_file_initial_data_must_exist(self, tmp_path):
         text = MINIMAL_AC.format(out=tmp_path).replace(
             "kind = cosine-perturbation", "kind = file")
@@ -207,6 +214,20 @@ class TestCLI:
             assert a.implied_bound == b.implied_bound
             assert a.bad_measure == b.bad_measure
 
+    def test_loja_window_frac_sets_the_fit_window(self, tmp_path):
+        # finer steps, so that the trailing fifth still holds enough samples
+        out = tmp_path / "run"
+        text = MINIMAL_AC.format(out=out).replace("dt_max = 2e-2", "dt_max = 5e-3")
+        assert main(["simulate", str(write_cfg(tmp_path, text))]) == 0
+        traj = load_run(out)
+        pars = parse_config(out / "config.ini").analysis_params()
+        assert pars["loja_window_frac"] == 0.5
+        default = _analysis_report(traj, pars)[0]["lojasiewicz"]
+        pars["loja_window_frac"] = 0.8
+        late = _analysis_report(traj, pars)[0]["lojasiewicz"]
+        assert "error" not in default and "error" not in late
+        assert late != default
+
     def test_lemmas_degiorgi(self, tmp_path, capsys):
         rc = main(["lemmas", "degiorgi", "--C", "1", "--b", "2", "--eps", "1",
                    "--y0", "0.5", "--n", "6"])
@@ -247,6 +268,17 @@ class TestCLI:
         with pytest.raises(SystemExit):
             main(["sweep", str(cfg_path), "--axis", "initial.mean=0.07"])
 
+    def test_sweep_under_relative_output_root(self, tmp_path, monkeypatch):
+        # each variant directory is resolved against the root once, not twice
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("PHASELAB_OUTPUT_ROOT", "root")
+        cfg_path = write_cfg(tmp_path, MINIMAL_AC.format(out="sw")
+                             .replace("t_max = 2.0", "t_max = 0.05"))
+        assert main(["sweep", str(cfg_path), "--axis", "initial.mean=0.05,0.1"]) == 0
+        for val in ("0.05", "0.1"):
+            assert (tmp_path / "root" / "sw" / f"initial.mean={val}" / "manifest.json").exists()
+        assert not (tmp_path / "root" / "root").exists()
+
     def test_equilibrium_command(self, tmp_path):
         out = tmp_path / "eq"
         cfg_path = write_cfg(tmp_path, MINIMAL_AC.format(out=out))
@@ -267,6 +299,60 @@ class TestCLI:
         rc = main(["simulate", str(cfg_path)])
         assert rc == 0
         assert (tmp_path / "root" / "rel_run" / "manifest.json").exists()
+
+
+class TestRunRecord:
+    """The run on disk is the run in memory: one schema, one simulate path."""
+
+    def test_diagnostics_round_trip_bit_exact(self, tmp_path):
+        cfg = parse_config(write_cfg(tmp_path, MINIMAL_AC.format(out=tmp_path / "run")
+                                     .replace("t_max = 2.0", "t_max = 0.05")))
+        traj = run(cfg.build_model(), cfg.build_initial_field(cfg.build_grid()),
+                   cfg.t_max, cfg.build_stepper())
+        traj.to_csv(tmp_path / "d.csv")
+        back = Trajectory.read_csv(tmp_path / "d.csv", traj.grid, snapshots=[], provenance={})
+        for attr in DIAGNOSTICS:
+            a, b = getattr(traj, attr), getattr(back, attr)
+            assert a.dtype == b.dtype and np.array_equal(a, b), attr
+        (tmp_path / "bad.csv").write_text("t,mass\n0.0,0.1\n")
+        with pytest.raises(ParseError):
+            Trajectory.read_csv(tmp_path / "bad.csv", traj.grid, snapshots=[], provenance={})
+
+    @pytest.mark.parametrize("model", ["preset = CONSERVED_AC",
+                                       "preset = CH_NONLINEAR\nalpha = 2.0"])
+    def test_disk_report_equals_memory_report(self, tmp_path, model):
+        # dense snapshots give the truncation, fit and omega-limit sections data
+        text = MINIMAL_AC.format(out=tmp_path / "run").replace(
+            "preset = CONSERVED_AC", model).replace("t_max = 2.0", "t_max = 1.0").replace(
+            "snapshot_every = 20", "snapshot_every = 4").replace("dt_max = 2e-2", "dt_max = 5e-3")
+        cfg_path = write_cfg(tmp_path, text)
+        assert main(["simulate", str(cfg_path)]) == 0
+        cfg = parse_config(cfg_path)
+        memory = run(cfg.build_model(), cfg.build_initial_field(cfg.build_grid()),
+                     cfg.t_max, cfg.build_stepper())
+        disk = load_run(tmp_path / "run")
+
+        def as_json(traj):
+            report, assertions, level_sets = _analysis_report(traj, cfg.analysis_params())
+            series = [(d, r.times.tolist(), r.measures.tolist()) for d, r in level_sets]
+            return json.dumps([report, assertions, series], sort_keys=True)
+
+        assert as_json(disk) == as_json(memory)
+
+    def test_sweep_directory_matches_simulate_directory(self, tmp_path):
+        text = MINIMAL_AC.format(out=tmp_path / "sim").replace("t_max = 2.0", "t_max = 0.05")
+        assert main(["simulate", str(write_cfg(tmp_path, text))]) == 0
+        swept = write_cfg(tmp_path, text.replace(str(tmp_path / "sim"), str(tmp_path / "sw")),
+                          "sweep.ini")
+        assert main(["sweep", str(swept), "--axis", "initial.mean=0.1"]) == 0
+        dirs = (tmp_path / "sim", tmp_path / "sw" / "initial.mean=0.1")
+        csvs = [(d / "diagnostics.csv").read_bytes() for d in dirs]
+        assert csvs[0] == csvs[1]
+        manifests = [json.loads((d / "manifest.json").read_text()) for d in dirs]
+        assert manifests[0]["assertions"] == manifests[1]["assertions"]
+        assert manifests[0]["assertions"]["times_increasing"]
+        summaries = [json.loads((d / "summary.json").read_text()) for d in dirs]
+        assert summaries[0].keys() == summaries[1].keys()
 
 
 def test_cli_import_leaves_signal_and_stats_out():

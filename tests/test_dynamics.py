@@ -25,7 +25,7 @@ from phaselab import (
 )
 from phaselab import dynamics
 from phaselab import grid as g
-from phaselab.errors import NewtonDivergenceError, StepFloorError
+from phaselab.errors import NewtonDivergenceError, StepFloorError, ValidationError
 
 
 def rng(seed=0):
@@ -349,3 +349,36 @@ class TestOneEvaluationPerState:
         traj = run(M, Field(grid, vals - vals.mean()), 1.3e-4, cfg)
         assert len(traj.times) - 1 > traj.provenance["factorizations"]
         assert len(calls) == 2 * traj.provenance["factorizations"]
+
+
+class TestConvexityFloor:
+    # F'' dips below theta in a Gaussian of width 1e-6 at DIP, which lies
+    # halfway between two points of the contract battery's sample, so the
+    # potential is accepted and only the Jacobians' check can catch it
+    DIP = 0.25025
+
+    def dipped_case(self):
+        base = PotentialSpec.logarithmic(0.3, 1.0)
+
+        def f2(s):
+            return base.d2F(s) - 0.3 * np.exp(-((np.asarray(s) - self.DIP) / 1e-6) ** 2)
+
+        # only F'' carries the dip: the floor is a statement about F'' alone
+        P = PotentialSpec.custom(0.3, 1.0, base.F, base.dF, f2)
+        M = conserved_allen_cahn(P, beta=1.0, gamma=1e-2)
+        grid = Grid((16,), (1.0,))
+        vals = 0.1 + 0.1 * np.cos(2 * np.pi * grid.axes()[0])
+        vals[5] = self.DIP
+        assert float(P.d2F(self.DIP)) < P.theta
+        return M, Field(grid, vals)
+
+    def test_step_raises(self):
+        M, phi = self.dipped_case()
+        with pytest.raises(ValidationError, match="convexity"):
+            step(M, State(phi), 1e-3, StepperConfig())
+
+    def test_solve_equilibrium_raises(self):
+        M, phi = self.dipped_case()
+        # phi is not stationary, so Newton assembles a Jacobian at it
+        with pytest.raises(ValidationError, match="convexity"):
+            solve_equilibrium(M, phi.mean(), phi)
