@@ -34,7 +34,6 @@ from .physics import (
     cahn_hilliard,
     conserved_allen_cahn,
     nonlocal_cahn_hilliard,
-    eval_potential,
     chemical_potential,
     energy,
     dissipation_rate,
@@ -69,7 +68,6 @@ __all__ = [
     "cahn_hilliard",
     "conserved_allen_cahn",
     "nonlocal_cahn_hilliard",
-    "eval_potential",
     "chemical_potential",
     "energy",
     "dissipation_rate",

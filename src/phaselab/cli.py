@@ -162,21 +162,24 @@ def cmd_equilibrium(args) -> int:
     return 0 if manifest["pass"] else 1
 
 
-def load_run(run_dir) -> Trajectory:
-    """Rebuild a Trajectory (with model) from a simulate output directory."""
+def load_run(run_dir, cfg: ExperimentConfig | None = None) -> Trajectory:
+    """Rebuild a Trajectory (model, stepper counts) from a run directory and its config."""
     run_dir = Path(run_dir)
-    cfg = parse_config(run_dir / "config.ini")
+    cfg = cfg or parse_config(run_dir / "config.ini")
     model = cfg.build_model()
+    summary_file = run_dir / "summary.json"
+    summary = json.loads(summary_file.read_text()) if summary_file.exists() else {}
+    provenance = {**model_provenance(model), **cfg.provenance(),
+                  **{k: summary[k] for k in Trajectory.RUN_COUNTS if k in summary}}
     snaps = []
     times_file = run_dir / "snapshot_times.csv"
     if times_file.exists():
-        rows = np.atleast_1d(np.genfromtxt(times_file, delimiter=",", names=True))
-        snaps = [(float(t), g.load_field(run_dir / f"snap_{step:06d}.dat"))
-                 for step, t in zip(rows["step"].astype(int), rows["t"])]
+        steps, times = np.loadtxt(times_file, delimiter=",", skiprows=1, ndmin=2, unpack=True)
+        snaps = [(t, g.load_field(run_dir / f"snap_{step:06d}.dat"))
+                 for step, t in zip(steps.astype(int).tolist(), times.tolist())]
     grid = snaps[0][1].grid if snaps else cfg.build_grid()
     return Trajectory.read_csv(run_dir / "diagnostics.csv", grid, snapshots=snaps,
-                               provenance={**model_provenance(model), **cfg.provenance()},
-                               model=model)
+                               provenance=provenance, model=model)
 
 
 def _analysis_report(traj: Trajectory, pars: dict) -> tuple[dict, dict, list]:
@@ -273,7 +276,7 @@ def cmd_analyze(args) -> int:
     if args.delta:
         pars["delta_levels"] = tuple(float(x) for x in args.delta)
     started = time.time()
-    traj = load_run(run_dir)
+    traj = load_run(run_dir, cfg)
     report, assertions, level_sets = _analysis_report(traj, pars)
     files = [_write_json(run_dir / "report.json", report)]
     for delta, rep in level_sets:

@@ -26,8 +26,9 @@ implicit solve would be an explicit step of the stiff operator.  The recorded
 and ``provenance["factorizations"]`` counts the LUs.
 
 The frozen diffusion and mobility operators L_a and L_m are applied
-matrix-free, as -G^T (w * G x) with the grid's face-difference matrix G; the
-sparse matrices are assembled only when the Jacobian is factored.
+matrix-free, as -div(w * diff(x)) by index gather and ``bincount``, and
+assembled only when the Jacobian is factored.  Newton reads F' unchecked
+(``step`` keeps max|x| < 1 - eps_guard): its evaluation checks each state.
 
 Mass is conserved exactly: the committed update is phi + dt * RHS(phi+),
 whose discrete mean vanishes to roundoff (the flux form telescopes; the
@@ -45,6 +46,7 @@ next step freezes.
 
 from __future__ import annotations
 
+import math
 import time as _time
 from dataclasses import dataclass
 
@@ -140,6 +142,7 @@ class Trajectory:
     complete: bool = True
 
     CSV_COLUMNS = ",".join(col for col, _ in DIAGNOSTICS.values())
+    RUN_COUNTS = ("accepted", "rejected", "factorizations", "wall_time_s", "stop_reason")
 
     @classmethod
     def from_series(cls, grid: g.Grid, series, **rest) -> "Trajectory":
@@ -150,11 +153,11 @@ class Trajectory:
     @classmethod
     def read_csv(cls, path, grid: g.Grid, **rest) -> "Trajectory":
         """Read the series that ``to_csv`` wrote; ``rest`` as for the constructor."""
-        data = np.atleast_1d(np.genfromtxt(path, delimiter=",", names=True))
-        if ",".join(data.dtype.names) != cls.CSV_COLUMNS:
-            raise ParseError(f"{path}: columns {data.dtype.names} are not {cls.CSV_COLUMNS}")
-        return cls.from_series(grid, {attr: data[col] for attr, (col, _) in DIAGNOSTICS.items()},
-                               **rest)
+        with open(path) as fh:
+            if (header := fh.readline().strip()) != cls.CSV_COLUMNS:
+                raise ParseError(f"{path}: columns {header!r} are not {cls.CSV_COLUMNS}")
+            columns = np.loadtxt(fh, delimiter=",", ndmin=2, unpack=True)
+        return cls.from_series(grid, dict(zip(DIAGNOSTICS, columns)), **rest)
 
     @property
     def dissipation_norm_kind(self) -> str:
@@ -174,14 +177,12 @@ class Trajectory:
 
     def summary(self) -> dict:
         """The end state and the stepper's counts, as ``summary.json`` records them."""
-        p = self.provenance
         return {
             "t_end": float(self.times[-1]),
             "final_dissipation_norm": float(self.dissipation_norm_series()[-1]),
             "final_energy": float(self.energy[-1]),
             "mass_drift": float(np.max(np.abs(self.mass - self.mass[0]))),
-            **{k: p.get(k) for k in
-               ("accepted", "rejected", "factorizations", "wall_time_s", "stop_reason")},
+            **{k: self.provenance.get(k) for k in self.RUN_COUNTS},
         }
 
     def verify(self, tol_mass: float = 1e-10, tol_mass_step: float = 1e-14,
@@ -232,10 +233,10 @@ class _StepWorkspace:
     ``freeze`` takes the evaluation of a newly accepted state: its face
     coefficients (scaled to ``w / h^2``) and the explicit part of its split
     chemical potential.  ``mu_of`` and ``rhs_of`` apply ``L_a`` and ``L_m``
-    matrix-free as ``-G^T (w * G x)``; the sparse matrices are assembled only
-    in ``jacobian_solver``.  The LU (with its Sherman-Morrison correction)
-    outlives both Newton iterations and steps: ``step`` refactors only when
-    the lagged one stops paying.
+    matrix-free as ``-div(w * diff(x))``, and ``mu_of`` reads F' unchecked;
+    the sparse matrices are assembled only in ``jacobian_solver``.  The LU
+    (with its Sherman-Morrison correction) outlives both Newton iterations
+    and steps: ``step`` refactors only when the lagged one stops paying.
     """
 
     def __init__(self, M: ph.ModelConfig, phi_field: g.Field,
@@ -262,9 +263,9 @@ class _StepWorkspace:
         self.explicit = ev.explicit
 
     def mu_of(self, x: np.ndarray) -> np.ndarray:
-        mu = np.asarray(self.P.dF(x)) + self.explicit
+        mu = self.P._f1(x) + self.explicit  # F' unchecked: step guards every iterate
         if self.wa is not None:  # -gamma L_a x
-            mu += self.ops.GT @ (self.wa * (self.ops.G @ x))
+            mu += self.ops.div(self.wa * self.ops.diff(x))
         if self.w is not None:
             mu += self.w * x
         return mu
@@ -272,11 +273,11 @@ class _StepWorkspace:
     def rhs_of(self, mu: np.ndarray) -> np.ndarray:
         M = self.M
         if M.beta > 0:
-            r = -M.beta * (mu - mu.mean())
+            r = -M.beta * (mu - mu.sum() / self.n)
             if self.wm is not None:  # alpha L_m mu
-                r -= self.ops.GT @ (self.wm * (self.ops.G @ mu))
+                r -= self.ops.div(self.wm * self.ops.diff(mu))
             return r
-        return -(self.ops.GT @ (self.wm * (self.ops.G @ mu)))
+        return -self.ops.div(self.wm * self.ops.diff(mu))
 
     def fits(self, dt: float) -> bool:
         """Whether the lagged LU may serve a solve at this dt."""
@@ -286,28 +287,33 @@ class _StepWorkspace:
         """Factor the Jacobian at x and keep it as the workspace's LU.
 
         The sparse part is A = I + dt (beta I - alpha L_m)(diag c - gamma L_a)
-        with c = F''(x) (+ w); the mean subtraction adds the rank-one term
-        -u v^T, u = dt beta / n, v = c (L_a has zero column sums), which
-        Sherman-Morrison folds into the solve.  L_a and L_m are assembled
-        here, at the frozen coefficients, and nowhere else.
+        with c = F''(x) (+ w), its diagonal terms added onto the diagonals of
+        L_a and L_m, which are assembled here (at the frozen coefficients) and
+        nowhere else.  The mean subtraction adds -u v^T, u = dt beta / n, v = c
+        (L_a has zero column sums), which Sherman-Morrison folds into the solve.
         """
         M = self.M
-        n = self.n
         c = self.P.d2F_checked(x)
         if self.w is not None:
             c = c + self.w
-        eye = sp.identity(n, format="csr")
-        dmu = sp.diags(c, format="csr")
-        if self.a_face is not None:
-            dmu = dmu - M.gamma * g.weighted_laplacian_matrix(self.grid, self.a_face)
-        drhs = M.beta * eye
-        if self.m_face is not None:
-            drhs = drhs - M.alpha * g.weighted_laplacian_matrix(self.grid, self.m_face)
-        lu = spla.splu((eye + dt * (drhs @ dmu)).tocsc())
+        if self.a_face is None:
+            A = sp.diags(c, format="csr")
+        else:
+            A = -M.gamma * g.weighted_laplacian_matrix(self.grid, self.a_face)
+            A.setdiag(A.diagonal() + c)
+        if self.m_face is None:
+            A.data = dt * (M.beta * A.data)
+        else:
+            drhs = -M.alpha * g.weighted_laplacian_matrix(self.grid, self.m_face)
+            drhs.setdiag(drhs.diagonal() + M.beta)
+            A = drhs @ A
+            A.data *= dt
+        A.setdiag(A.diagonal() + 1.0)
+        lu = spla.splu(A.tocsc())
         if M.beta <= 0:
             solve = lu.solve
         else:
-            Ainv_u = lu.solve(np.full(n, dt * M.beta / n))
+            Ainv_u = lu.solve(np.full(self.n, dt * M.beta / self.n))
             vAu = float(c @ Ainv_u)
             denom = 1.0 - vAu
             if not (np.isfinite(denom) and abs(denom) > SM_DENOM_FLOOR * (1.0 + abs(vAu))):
@@ -346,7 +352,7 @@ def step(M: ph.ModelConfig, s: State, dt: float, cfg: StepperConfig,
     x = np.clip(phi, -limit, limit)
     rhs = ws.rhs_of(ws.mu_of(x))
     resid = x - phi - dt * rhs
-    rnorm = r0 = float(np.linalg.norm(resid)) * sqrt_vol
+    rnorm = r0 = math.sqrt(np.dot(resid, resid)) * sqrt_vol
     fresh = False     # the last pass used an LU factored at its own iterate (none yet)
     refactor = False  # the last pass backtracked or contracted too little
     polished = False  # the last pass was fresh and began below newton_tol
@@ -374,12 +380,12 @@ def step(M: ph.ModelConfig, s: State, dt: float, cfg: StepperConfig,
             best = (rnorm, x, rhs)
             for _ in range(MAX_BACKTRACKS if fresh else 1):
                 xn = x + lam * delta
-                if np.max(np.abs(xn)) >= limit:
+                if np.abs(xn).max() >= limit:
                     lam *= 0.5
                     continue
                 rhs_n = ws.rhs_of(ws.mu_of(xn))
                 resid_n = xn - phi - dt * rhs_n
-                rn = float(np.linalg.norm(resid_n)) * sqrt_vol
+                rn = math.sqrt(np.dot(resid_n, resid_n)) * sqrt_vol
                 if rn < best[0]:
                     best = (rn, xn, rhs_n)
                 if rn <= cfg.newton_tol or rn < rnorm * (1.0 - 1e-4 * lam):
@@ -405,7 +411,7 @@ def step(M: ph.ModelConfig, s: State, dt: float, cfg: StepperConfig,
         x, rhs, resid, rnorm = xn, rhs_n, resid_n, rn
 
     phi_new = phi + dt * rhs  # mass-exact commit: mean(rhs) telescopes to 0
-    if not np.max(np.abs(phi_new)) < limit:  # NaN counts as a violation
+    if not np.abs(phi_new).max() < limit:  # NaN counts as a violation
         raise BoundsViolationError("post-solve values hit the guard band; reduce dt")
     return State(g.Field(grid, phi_new), s.t + dt, newton_iters=iters)
 
@@ -428,7 +434,7 @@ class _Recorder:
             "mu_fluct_l2": ev.mu_fluct_l2,
             "phi_min": float(phi.data.min()),
             "phi_max": float(phi.data.max()),
-            "sep_margin": 1.0 - float(np.max(np.abs(phi.data))),
+            "sep_margin": 1.0 - float(np.abs(phi.data).max()),
             "dt": dt,
             "newton_iters": state.newton_iters,
         }

@@ -108,13 +108,9 @@ class Field:
             raise GridMismatchError(
                 f"field has {data.size} values for a {self.grid.n_cells}-cell grid"
             )
-        if not np.all(np.isfinite(data)):
+        if not np.isfinite(data).all():
             raise ValueError("field contains non-finite values")
         self.data = data
-
-    @classmethod
-    def from_function(cls, grid: Grid, fn) -> "Field":
-        return cls(grid, fn(*grid.cell_centers()).ravel())
 
     @classmethod
     def constant(cls, grid: Grid, value: float) -> "Field":
@@ -126,7 +122,7 @@ class Field:
 
     def mean(self) -> float:
         # uniform cells: volume-weighted mean == arithmetic mean
-        return float(self.data.mean())
+        return float(self.data.sum() / self.data.size)
 
     def copy(self) -> "Field":
         return Field(self.grid, self.data.copy())
@@ -152,28 +148,20 @@ class FaceField:
                 )
 
 
-def _require_same_grid(*fields) -> Grid:
-    grid = fields[0].grid
-    for f in fields[1:]:
-        if f.grid != grid:
-            raise GridMismatchError("operands live on different grids")
-    return grid
-
-
 class FaceOperator:
-    """The physical faces of a grid and the difference matrix on them.
+    """The physical faces of a grid and the difference operator on them.
 
     Face f joins cells ``lo[f]`` and ``hi[f]``: each interior face along each
     axis and, under periodic wrap, the face between the last and the first
-    cell.  Zero-flux boundary faces carry no flux and are left out.  ``G`` is
-    the signed face-cell incidence matrix, ``(G u)_f = u[hi[f]] - u[lo[f]]``,
-    so the face gradient is ``inv_h * (G u)`` and
-
-        div(w grad u) = -G^T diag(w / h^2) G u.
-
-    Every row of G sums to zero, so the cell sum of any ``G^T v`` telescopes:
+    cell.  Zero-flux boundary faces carry no flux and are left out.
+    ``diff(u) = u[hi] - u[lo]`` (an index gather) and its transpose ``div``
+    (two ``bincount`` calls) apply the signed face-cell incidence matrix G and
+    G^T, so the face gradient is ``inv_h * diff(u)`` and
+    ``div(w grad u) = -div(w / h^2 * diff(u))``.  Each face adds to one cell
+    what it takes from another, so the cell sum of any ``div(v)`` telescopes:
     mass conservation is structural.  Differences are taken before scaling by
-    1/h, which keeps them exact on nearly constant fields.
+    1/h, which keeps them exact on nearly constant fields.  The sparse ``G``
+    and ``GT`` serve only the assembly in ``weighted_laplacian_matrix``.
     """
 
     def __init__(self, grid: Grid):
@@ -206,11 +194,19 @@ class FaceOperator:
             shape=(m, grid.n_cells),
         )
         self.GT = self.G.T.tocsr()
-        self._incidence = abs(self.GT)
+        self.n_cells = grid.n_cells
+
+    def diff(self, u: np.ndarray) -> np.ndarray:
+        """``G u``: the difference of flat cell values across each face."""
+        return u[self.hi] - u[self.lo]
+
+    def div(self, v: np.ndarray) -> np.ndarray:
+        """``G^T v``: per cell, face values entering minus face values leaving."""
+        return np.bincount(self.hi, v, self.n_cells) - np.bincount(self.lo, v, self.n_cells)
 
     def grad(self, u: np.ndarray) -> np.ndarray:
         """Face gradient of flat cell values."""
-        return self.inv_h * (self.G @ u)
+        return self.inv_h * self.diff(u)
 
     def average(self, c: np.ndarray, mode: str = "arithmetic") -> np.ndarray:
         """Arithmetic or harmonic mean of cell values at each face."""
@@ -224,7 +220,8 @@ class FaceOperator:
     def cell_sq(self, face_values: np.ndarray) -> np.ndarray:
         """Per cell: the mean of the squares at its two faces along each axis,
         summed over axes (zero-flux boundary faces count as zero)."""
-        return 0.5 * (self._incidence @ (face_values * face_values))
+        sq, n = face_values * face_values, self.n_cells
+        return 0.5 * (np.bincount(self.lo, sq, n) + np.bincount(self.hi, sq, n))
 
     def gather(self, face_field: FaceField) -> np.ndarray:
         """A FaceField's values on these faces (the wrap face read at entry 0)."""
@@ -233,8 +230,9 @@ class FaceOperator:
 
 def inner(u: Field, v: Field) -> float:
     """L2 inner product: sum(u*v) * cell volume."""
-    grid = _require_same_grid(u, v)
-    return float(np.dot(u.data, v.data)) * grid.cell_volume
+    if u.grid != v.grid:
+        raise GridMismatchError("operands live on different grids")
+    return float(np.dot(u.data, v.data)) * u.grid.cell_volume
 
 
 def norm_l2(u: Field) -> float:
@@ -307,7 +305,6 @@ class KernelMatrix:
         self._fshape = tuple(sp_fft.next_fast_len(3 * n - 2, real=True) for n in grid.shape)
         self._spectrum = sp_fft.rfftn(stencil, self._fshape)
         self._window = tuple(slice(n - 1, 2 * n - 1) for n in grid.shape)
-        self._row_sums = None
 
     @classmethod
     def from_profile(cls, grid: Grid, profile, grad_l1: float = float("nan")) -> "KernelMatrix":
@@ -328,12 +325,10 @@ class KernelMatrix:
         out = sp_fft.irfftn(u * self._spectrum, self._fshape)
         return out[self._window].ravel()
 
-    @property
+    @cached_property
     def row_sums(self) -> np.ndarray:
         """(J * 1)(x_i)."""
-        if self._row_sums is None:
-            self._row_sums = self.apply_values(np.ones(self.grid.n_cells))
-        return self._row_sums
+        return self.apply_values(np.ones(self.grid.n_cells))
 
 
 def convolve(K: KernelMatrix, phi: Field) -> Field:

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import xlogy
 
 from . import grid as g
@@ -111,7 +110,7 @@ class PotentialSpec:
     def _check_domain(self, s, order):
         a = np.asarray(s, dtype=float)
         limit = 1.0 if order == 0 else 1.0 - self.eps_guard
-        if np.any(np.abs(a) > limit):
+        if (np.abs(a) > limit).any():
             raise PotentialDomainError(
                 f"order-{order} potential evaluation at |s| > {limit}"
             )
@@ -150,27 +149,23 @@ class PotentialSpec:
         if self.kind == "logarithmic":
             return np.tanh(psi / self.theta)
         lo, hi = -1.0 + self.eps_guard, 1.0 - self.eps_guard
-        flat = np.atleast_1d(psi).ravel()
-        out = np.empty_like(flat)
-        for i, p in enumerate(flat):
-            if self._f1(lo) >= p:
-                out[i] = lo
-            elif self._f1(hi) <= p:
-                out[i] = hi
-            else:
-                out[i] = brentq(lambda s: float(self._f1(s)) - p, lo, hi, xtol=1e-15)
-        return out.reshape(psi.shape) if psi.shape else float(out[0])
+        out = bisect(lambda s: self._f1(s) - psi, lo, hi, xtol=1e-15)
+        out = np.where(self._f1(lo) >= psi, lo, np.where(self._f1(hi) <= psi, hi, out))
+        return out if psi.shape else float(out)
 
 
-def eval_potential(P: PotentialSpec, s, order: int):
-    """Evaluate F, F', or F''; raises PotentialDomainError outside the domain."""
-    if order == 0:
-        return P.F(s)
-    if order == 1:
-        return P.dF(s)
-    if order == 2:
-        return P.d2F(s)
-    raise ValueError(f"order must be 0, 1 or 2, got {order}")
+def bisect(f, lo, hi, xtol: float):
+    """Elementwise bisection for a root of f where f(lo) < 0 <= f(hi): the
+    midpoints once every bracket is at most xtol wide, or after 64 halvings
+    (below the float spacing of any bracket inside [-1, 1])."""
+    lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
+    for _ in range(64):
+        if not (hi - lo > xtol).any():
+            break
+        mid = 0.5 * (lo + hi)
+        neg = f(mid) < 0
+        lo, hi = np.where(neg, mid, lo), np.where(neg, hi, mid)
+    return 0.5 * (lo + hi)
 
 
 class MobilitySpec:
@@ -475,7 +470,7 @@ class Evaluation:
         M = self.M
         mu = np.asarray(M.potential.dF(self.phi)) + self.explicit
         if M.gamma > 0:  # -gamma div(a grad phi)
-            mu += M.gamma * (self.ops.GT @ (self.ops.inv_h * (self.a_face * self.grad)))
+            mu += M.gamma * self.ops.div(self.ops.inv_h * (self.a_face * self.grad))
         if M.sigma2 and M.nonlocal_consistency:
             mu += self.kernel.row_sums * self.phi
         return mu
@@ -501,7 +496,7 @@ class Evaluation:
 
     @cached_property
     def mu_fluct(self) -> np.ndarray:
-        return self.mu - self.mu.mean()
+        return self.mu - self.mu.sum() / self.mu.size
 
     @cached_property
     def dissipation(self) -> float:

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.optimize import brentq
 
 from . import grid as g
 from . import physics as ph
@@ -316,13 +315,13 @@ def bulk_root(potential, tol: float = 1e-13) -> float:
     Layer profiles plateau near +-this value; seeding there keeps Newton off
     the long valley between the mixed state and the singular barrier.
     """
-    def fprime(s):
-        return float(potential.dF(s)) - potential.theta0 * s
+    def fprime(s):  # F' unchecked: the bracket lies inside the guard band
+        return potential._f1(s) - potential.theta0 * s
 
     hi = 1.0 - max(potential.eps_guard, 1e-13)
     if fprime(hi) <= 0:
         return 0.9
-    return float(brentq(fprime, 1e-9, hi, xtol=tol))
+    return float(ph.bisect(fprime, 1e-9, hi, xtol=tol))
 
 
 def equilibrium_seeds(grid: g.Grid, k: float, kinds=("constant", "tanh"),

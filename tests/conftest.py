@@ -6,6 +6,7 @@ criterion that needs it reuses the cached result.
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from phaselab import (
     DiffusionSpec,
@@ -22,7 +23,7 @@ from phaselab import (
 )
 from phaselab.dynamics import Trajectory
 from phaselab.errors import GridMismatchError
-from phaselab.grid import FaceField
+from phaselab.grid import FaceField, weighted_laplacian_matrix
 
 
 def make_synthetic_trajectory(times, *, grid=None, grad_mu=None, mu_fluct=None,
@@ -203,6 +204,24 @@ def unit_face_weights(grid: Grid) -> FaceField:
     )
     return FaceField(grid, comps)
 
+
+
+def jacobian_matrix_oracle(ws, x: np.ndarray, dt: float):
+    """I + dt (beta I - alpha L_m)(diag c - gamma L_a), c = F''(x) (+ w), at a
+    stepper workspace's frozen coefficients, assembled as sums and products
+    of scipy sparse matrices (oracle of ``_StepWorkspace.jacobian_solver``)."""
+    M, n = ws.M, ws.n
+    c = M.potential.d2F(x)
+    if ws.w is not None:
+        c = c + ws.w
+    eye = sp.identity(n, format="csr")
+    dmu = sp.diags(c, format="csr")
+    if ws.a_face is not None:
+        dmu = dmu - M.gamma * weighted_laplacian_matrix(ws.grid, ws.a_face)
+    drhs = M.beta * eye
+    if ws.m_face is not None:
+        drhs = drhs - M.alpha * weighted_laplacian_matrix(ws.grid, ws.m_face)
+    return eye + dt * (drhs @ dmu)
 
 
 @pytest.fixture(scope="session")

@@ -11,6 +11,7 @@ import pytest
 
 from phaselab import Field, Grid, save_field
 from phaselab.analysis import classify_good_times
+from phaselab import cli
 from phaselab.cli import _analysis_report, load_run, main
 from phaselab.config import ExperimentConfig, parse_config
 from phaselab.dynamics import DIAGNOSTICS, Trajectory, run
@@ -339,6 +340,28 @@ class TestRunRecord:
 
         assert as_json(disk) == as_json(memory)
 
+    def test_loaded_run_keeps_the_stepper_counts(self, tmp_path):
+        cfg_path = write_cfg(tmp_path, MINIMAL_AC.format(out=tmp_path / "run")
+                             .replace("t_max = 2.0", "t_max = 0.05"))
+        assert main(["simulate", str(cfg_path)]) == 0
+        cfg = parse_config(cfg_path)
+        memory = run(cfg.build_model(), cfg.build_initial_field(cfg.build_grid()),
+                     cfg.t_max, cfg.build_stepper()).summary()
+        disk = load_run(tmp_path / "run").summary()
+        assert disk["stop_reason"] == "t_max" and disk["factorizations"] >= 1
+        del memory["wall_time_s"], disk["wall_time_s"]
+        assert disk == memory
+
+    def test_analyze_parses_the_config_once(self, tmp_path, monkeypatch):
+        out = tmp_path / "run"
+        text = MINIMAL_AC.format(out=out).replace("t_max = 2.0", "t_max = 0.05")
+        assert main(["simulate", str(write_cfg(tmp_path, text))]) == 0
+        calls = []
+        real = cli.parse_config
+        monkeypatch.setattr(cli, "parse_config", lambda p: calls.append(p) or real(p))
+        assert main(["analyze", str(out)]) == 0
+        assert calls == [out / "config.ini"]
+
     def test_sweep_directory_matches_simulate_directory(self, tmp_path):
         text = MINIMAL_AC.format(out=tmp_path / "sim").replace("t_max = 2.0", "t_max = 0.05")
         assert main(["simulate", str(write_cfg(tmp_path, text))]) == 0
@@ -355,13 +378,23 @@ class TestRunRecord:
         assert summaries[0].keys() == summaries[1].keys()
 
 
-def test_cli_import_leaves_signal_and_stats_out():
-    # scipy.signal pulls in scipy.stats, most of the CLI's start-up time
+def loaded_by_cli_import(modules) -> str:
+    """Which of ``modules`` a fresh ``import phaselab.cli`` loads, as printed."""
     code = ("import sys, phaselab.cli; "
-            "print(sorted(m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules))")
+            f"print(sorted(m for m in {tuple(modules)!r} if m in sys.modules))")
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_cli_import_leaves_signal_and_stats_out():
+    # scipy.signal pulls in scipy.stats, most of the CLI's start-up time
+    assert loaded_by_cli_import(("scipy.signal", "scipy.stats")) == "[]"
+
+
+def test_cli_import_leaves_optimize_out():
+    # the root finders are one bisection in physics; scipy.optimize costs ~0.2 s
+    assert loaded_by_cli_import(("scipy.optimize",)) == "[]"

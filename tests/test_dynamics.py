@@ -26,6 +26,7 @@ from phaselab import (
 from phaselab import dynamics
 from phaselab import grid as g
 from phaselab.errors import NewtonDivergenceError, StepFloorError, ValidationError
+from conftest import jacobian_matrix_oracle
 
 
 def rng(seed=0):
@@ -270,6 +271,29 @@ class TestLaggedJacobian:
         fresh = step(M, s, dt, cfg)
         assert norm_l2(Field(grid, stale.phi.data - fresh.phi.data)) <= 1e-12
 
+    @pytest.mark.parametrize("bc", ["neumann", "periodic"])
+    @pytest.mark.parametrize("shape", [(24,), (6, 5)])
+    @pytest.mark.parametrize("factory", [ch_model, ac_model, nl_model])
+    def test_jacobian_matches_sparse_algebra_oracle(self, monkeypatch, factory, shape, bc):
+        seen = []
+        real = dynamics.spla.splu
+        monkeypatch.setattr(dynamics, "spla", types.SimpleNamespace(
+            splu=lambda A: seen.append(A.toarray()) or real(A)))
+        M = factory()
+        grid = Grid(shape, (1.0,) * len(shape), bc)
+        phi = 0.1 + 0.3 * rng(3).uniform(-1.0, 1.0, grid.n_cells)
+        ws = dynamics._StepWorkspace(M, Field(grid, phi))
+        x = phi + 0.01 * rng(4).uniform(-1.0, 1.0, grid.n_cells)
+        dt = 1e-3
+        ws.jacobian_solver(x, dt)
+        A = seen[0]
+        ref = jacobian_matrix_oracle(ws, x, dt).toarray()
+        if M.preset == "CH_NONLINEAR":
+            # the product sums each entry in another order
+            assert np.max(np.abs(A - ref)) <= 1e-12 * np.max(np.abs(ref))
+        else:
+            assert np.array_equal(A, ref)
+
     @pytest.mark.parametrize("breakdown", ["nan", "zero"])
     def test_sherman_morrison_breakdown_raises(self, monkeypatch, breakdown):
         M = ac_model()
@@ -336,6 +360,25 @@ class TestOneEvaluationPerState:
         # one per state that reached the energy gate, one for the initial
         # state and one for the kernel row sums
         assert len(calls) == gated + 2
+
+    def test_each_trial_state_is_domain_checked_once(self, monkeypatch):
+        orders = []
+        real = PotentialSpec._check_domain
+        monkeypatch.setattr(PotentialSpec, "_check_domain",
+                            lambda P, s, order: orders.append(order) or real(P, s, order))
+        M = ac_model()
+        grid = Grid((64,), (1.0,))
+        phi0 = Field(grid, 0.1 + 0.05 * np.cos(2 * np.pi * grid.axes()[0]))
+        cfg = StepperConfig(dt_init=1e-4, dt_max=5e-2, steady_tol=0.0)
+        traj = run(M, phi0, 0.2, cfg)
+        prov = traj.provenance
+        assert prov["rejected"]["energy"] > 0
+        trial = 1 + prov["accepted"] + sum(prov["rejected"].values())
+        evaluated = 1 + prov["accepted"] + prov["rejected"]["energy"]
+        # F and F' once per evaluated state (Newton reads F' unchecked), F'' once per LU
+        assert orders.count(0) == orders.count(1) == evaluated
+        assert orders.count(2) == prov["factorizations"]
+        assert orders.count(0) + orders.count(1) <= 2 * trial
 
     def test_laplacians_assembled_only_at_factorization(self, monkeypatch):
         calls = []

@@ -49,9 +49,26 @@ def grid_field_weights(draw):
 
 
 def apply(grid, w, u):
-    """div(w grad u) matrix-free: -G^T (w / h^2 * G u)."""
+    """div(w grad u) matrix-free: -div(w / h^2 * diff(u))."""
     ops = grid.faces
-    return -(ops.GT @ (w * ops.inv_h2 * (ops.G @ u)))
+    return -ops.div(w * ops.inv_h2 * ops.diff(u))
+
+
+@SETTINGS
+@given(st.data(), grids())
+def test_gather_and_bincount_apply_the_incidence_matrix(data, grid):
+    ops = grid.faces
+    u = data.draw(cell_values(grid, -1.0, 1.0))
+    v = data.draw(hnp.arrays(float, ops.lo.size, elements=st.floats(-1e3, 1e3)))
+    assert np.array_equal(ops.diff(u), ops.G @ u)
+    ref = ops.GT @ v
+    if grid.dim == 1:
+        # at most two faces per cell, added in the same order
+        assert np.array_equal(ops.div(v), ref)
+    else:
+        # up to four faces per cell, summed in another order
+        scale = abs(ops.GT) @ np.abs(v)
+        assert np.all(np.abs(ops.div(v) - ref) <= 4 * np.finfo(float).eps * scale)
 
 
 @SETTINGS
@@ -59,7 +76,7 @@ def apply(grid, w, u):
 def test_cell_sum_of_divergence_vanishes(case):
     grid, u, c = case
     w = grid.faces.average(c)
-    flux = w * grid.faces.inv_h2 * (grid.faces.G @ u)
+    flux = w * grid.faces.inv_h2 * grid.faces.diff(u)
     total = float(np.sum(apply(grid, w, u)))
     assert abs(total) <= 1e-14 * max(float(np.abs(flux).sum()), 1e-300)
 

@@ -16,7 +16,6 @@ from phaselab import (
     conserved_allen_cahn,
     dissipation_rate,
     energy,
-    eval_potential,
     inner,
     nonlocal_cahn_hilliard,
 )
@@ -35,21 +34,21 @@ def log_potential(theta=0.3, theta0=1.0):
 class TestPotential:
     def test_f_zero_at_origin(self):
         P = PotentialSpec.logarithmic(1.0, 2.0)
-        assert eval_potential(P, 0.0, 0) == 0.0
+        assert P.F(0.0) == 0.0
 
     def test_value_at_pure_phase(self):
         # continuous extension: F(+-1) = theta * ln 2
         P = PotentialSpec.logarithmic(2.0, 3.0)
-        assert eval_potential(P, 1.0, 0) == pytest.approx(2.0 * np.log(2.0), abs=1e-12)
-        assert eval_potential(P, -1.0, 0) == pytest.approx(2.0 * np.log(2.0), abs=1e-12)
+        assert P.F(1.0) == pytest.approx(2.0 * np.log(2.0), abs=1e-12)
+        assert P.F(-1.0) == pytest.approx(2.0 * np.log(2.0), abs=1e-12)
 
     def test_first_derivative_closed_form(self):
         P = PotentialSpec.logarithmic(1.0, 2.0)
-        assert eval_potential(P, 0.5, 1) == pytest.approx(0.5 * np.log(3.0), abs=1e-14)
+        assert P.dF(0.5) == pytest.approx(0.5 * np.log(3.0), abs=1e-14)
 
     def test_second_derivative_minimum(self):
         P = PotentialSpec.logarithmic(1.0, 2.0)
-        assert eval_potential(P, 0.0, 2) == pytest.approx(1.0, abs=1e-14)
+        assert P.d2F(0.0) == pytest.approx(1.0, abs=1e-14)
 
     def test_convexity_floor_everywhere(self):
         P = PotentialSpec.logarithmic(0.25, 1.0)
@@ -59,9 +58,35 @@ class TestPotential:
     def test_domain_errors(self):
         P = PotentialSpec.logarithmic(1.0, 2.0)
         with pytest.raises(PotentialDomainError):
-            eval_potential(P, 1.0, 1)
+            P.dF(1.0)
         with pytest.raises(PotentialDomainError):
-            eval_potential(P, 1.5, 0)
+            P.F(1.5)
+
+    def test_public_evaluations_keep_domain_checks(self):
+        P = PotentialSpec.logarithmic(0.3, 1.0)
+        for fn in (P.dF, P.d2F, P.d2F_checked):
+            with pytest.raises(PotentialDomainError):
+                fn(1.0)
+        with pytest.raises(PotentialDomainError):
+            P.F(np.array([0.0, -1.0 - 1e-12]))
+        grid = Grid((8,), (1.0,))
+        M = conserved_allen_cahn(P, beta=1.0, gamma=0.01)
+        with pytest.raises(PotentialDomainError):
+            chemical_potential(M, Field(grid, np.r_[np.full(7, 0.1), 1.0]))
+        with pytest.raises(PotentialDomainError):
+            energy(M, Field(grid, np.r_[np.full(7, 0.1), 1.5]))
+
+    def test_custom_inverse_dF_bisects_to_the_closed_form(self):
+        ref = PotentialSpec.logarithmic(0.5, 1.0)
+        P = PotentialSpec.custom(0.5, 1.0, f0=ref._log0, f1=ref._log1, f2=ref._log2)
+        psi = np.array([[-5.0, -1.0, -0.2], [0.0, 1e-3, 2.5]])
+        got = P.inverse_dF(psi)
+        assert got.shape == psi.shape
+        assert np.allclose(got, ref.inverse_dF(psi), rtol=0, atol=2e-15)
+        assert isinstance(P.inverse_dF(0.3), float)
+        # beyond F' at the guard, the guard itself
+        assert P.inverse_dF(100.0) == 1.0 - P.eps_guard
+        assert P.inverse_dF(-100.0) == -1.0 + P.eps_guard
 
     def test_custom_potential_battery_accepts_equivalent_log(self):
         theta = 0.5
