@@ -291,6 +291,8 @@ class _StepWorkspace:
         L_a and L_m, which are assembled here (at the frozen coefficients) and
         nowhere else.  The mean subtraction adds -u v^T, u = dt beta / n, v = c
         (L_a has zero column sums), which Sherman-Morrison folds into the solve.
+        A's sparsity pattern is symmetric, so SuperLU factors it with
+        ``grid.SPLU_ORDERING``, a minimum-degree ordering of A^T + A.
         """
         M = self.M
         c = self.P.d2F_checked(x)
@@ -309,7 +311,7 @@ class _StepWorkspace:
             A = drhs @ A
             A.data *= dt
         A.setdiag(A.diagonal() + 1.0)
-        lu = spla.splu(A.tocsc())
+        lu = spla.splu(A.tocsc(), **g.SPLU_ORDERING)
         if M.beta <= 0:
             solve = lu.solve
         else:

@@ -262,6 +262,11 @@ def weighted_laplacian_matrix(grid: Grid, face_weights: FaceField | np.ndarray |
     return ops.GT @ scaled
 
 
+# SuperLU settings of every sparse LU: the operators' sparsity patterns are
+# symmetric, so a minimum-degree ordering of A^T + A fills less than COLAMD.
+SPLU_ORDERING = {"permc_spec": "MMD_AT_PLUS_A", "options": {"SymmetricMode": True}}
+
+
 def norm_hminus1(u: Field) -> float:
     """Discrete H^{-1} norm of the mean-zero part of u.
 
@@ -286,13 +291,16 @@ class KernelMatrix:
     """Discretized convolution with an even kernel over the domain only.
 
     ``K[i][j] = J(x_i - x_j) * cellVolume``; because the grid is uniform the
-    matrix is (block-)Toeplitz, so the matvec equals a zero-padded discrete
-    convolution.  The stencil spectrum is computed once, on the padded shape
-    ``next_fast_len(3n - 2)`` per axis that ``fftconvolve(mode="same")`` uses,
-    so each apply is one forward and one inverse real FFT.
+    matrix is (block-)Toeplitz, so the matvec is the window ``[n-1, 2n-1)``
+    of the full linear convolution of u (length n per axis) with the stencil
+    (length 2n-1).  A circular convolution of period L adds to output k the
+    full-convolution terms at k +- L, which lie outside ``[0, 3n-2)`` for
+    every k in the window once L >= 2n-1: so each axis is padded only to
+    ``next_fast_len(2n - 1)``, where the stencil spectrum is computed once,
+    and each apply is one forward and one inverse real FFT.
     """
 
-    def __init__(self, grid: Grid, stencil: np.ndarray, grad_l1: float = float("nan")):
+    def __init__(self, grid: Grid, stencil: np.ndarray):
         expected = tuple(2 * n - 1 for n in grid.shape)
         stencil = np.asarray(stencil, dtype=float)
         if stencil.shape != expected:
@@ -301,13 +309,12 @@ class KernelMatrix:
             )
         self.grid = grid
         self.stencil = stencil
-        self.grad_l1 = float(grad_l1)
-        self._fshape = tuple(sp_fft.next_fast_len(3 * n - 2, real=True) for n in grid.shape)
+        self._fshape = tuple(sp_fft.next_fast_len(m, real=True) for m in expected)
         self._spectrum = sp_fft.rfftn(stencil, self._fshape)
         self._window = tuple(slice(n - 1, 2 * n - 1) for n in grid.shape)
 
     @classmethod
-    def from_profile(cls, grid: Grid, profile, grad_l1: float = float("nan")) -> "KernelMatrix":
+    def from_profile(cls, grid: Grid, profile) -> "KernelMatrix":
         """Build from a radial profile J(r); evenness is structural."""
         offsets = [
             (np.arange(-(n - 1), n)) * h for n, h in zip(grid.shape, grid.spacing)
@@ -317,7 +324,7 @@ class KernelMatrix:
         else:
             ox, oy = np.meshgrid(*offsets, indexing="ij")
             r = np.sqrt(ox * ox + oy * oy)
-        return cls(grid, profile(r) * grid.cell_volume, grad_l1)
+        return cls(grid, profile(r) * grid.cell_volume)
 
     def apply_values(self, values: np.ndarray) -> np.ndarray:
         """sum_j K[i][j] values_j on flat cell values."""
@@ -346,7 +353,7 @@ def save_field(path, phi: Field):
                        grid.bc, *(repr(l) for l in grid.lengths)])
     with open(path, "w") as fh:
         fh.write(header + "\n")
-        fh.write("".join("%.17g\n" % v for v in phi.data.tolist()))
+        fh.write(("%.17g\n" * phi.data.size) % tuple(phi.data.tolist()))
 
 
 # header tokens -> dimension; the shorter forms carry no lengths

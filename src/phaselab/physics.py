@@ -202,10 +202,6 @@ class MobilitySpec:
         return self.fn(s)
 
 
-# 64-point Gauss-Legendre rule for the interface-coordinate antiderivative
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(64)
-
-
 class DiffusionSpec:
     """Nonlinear gradient-energy coefficient a(s) >= a_star > 0 with derivative."""
 
@@ -257,20 +253,14 @@ class DiffusionSpec:
     def __call__(self, s):
         return self.fn(s)
 
-    def antiderivative_sqrt(self, s):
-        """A(s) = integral_0^s sqrt(a(t)) dt by Gauss-Legendre quadrature."""
-        s = np.asarray(s, dtype=float)
-        half = 0.5 * s
-        nodes = half[..., None] * (_GL_X + 1.0)
-        return half * np.sum(_GL_W * np.sqrt(self.fn(nodes)), axis=-1)
-
 
 class KernelSpec:
     """Even interaction kernel built from a radial profile J(|x|).
 
     Evenness is structural (the profile only sees |x|).  Per-grid kernel
-    matrices and the numerical ``|grad J|_{L1}`` estimate over a compact box
-    containing all cell-center differences are cached.
+    matrices are cached, and so is the numerical ``|grad J|_{L1}`` estimate
+    over a compact box containing all cell-center differences, which only
+    the separation bound reads and which is computed on its first request.
     """
 
     def __init__(self, kind="gaussian", scale=0.1, support=None, profile=None):
@@ -332,8 +322,7 @@ class KernelSpec:
     def matrix(self, grid: g.Grid) -> g.KernelMatrix:
         if grid not in self._matrices:
             self._matrices[grid] = g.KernelMatrix.from_profile(
-                grid, lambda r: self.profile(r, grid.dim), self.grad_l1(grid)
-            )
+                grid, lambda r: self.profile(r, grid.dim))
         return self._matrices[grid]
 
 

@@ -105,7 +105,7 @@ class _BorderedJacobian:
         A.data[self._diag] = self._base + d
         A.data[self._border] = r
         try:
-            lu = spla.splu(A)
+            lu = spla.splu(A, **g.SPLU_ORDERING)
         except RuntimeError as exc:
             raise NewtonDivergenceError("singular stationary Jacobian",
                                         iterations=iters, residual=rnorm) from exc

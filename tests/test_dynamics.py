@@ -25,6 +25,7 @@ from phaselab import (
 )
 from phaselab import dynamics
 from phaselab import grid as g
+from phaselab import stationary
 from phaselab.errors import NewtonDivergenceError, StepFloorError, ValidationError
 from conftest import jacobian_matrix_oracle
 
@@ -246,7 +247,7 @@ class TestLaggedJacobian:
         seen = []
         real = dynamics.spla.splu
         monkeypatch.setattr(dynamics, "spla", types.SimpleNamespace(
-            splu=lambda A: seen.append(A) or real(A)))
+            splu=lambda A, **kw: seen.append(A) or real(A, **kw)))
         M = ch_model()
         grid = Grid((16, 16), (1.0, 1.0))
         vals = rng(5).uniform(-0.05, 0.05, grid.n_cells)
@@ -278,14 +279,14 @@ class TestLaggedJacobian:
         seen = []
         real = dynamics.spla.splu
         monkeypatch.setattr(dynamics, "spla", types.SimpleNamespace(
-            splu=lambda A: seen.append(A.toarray()) or real(A)))
+            splu=lambda A, **kw: seen.append(A.toarray()) or real(A, **kw)))
         M = factory()
         grid = Grid(shape, (1.0,) * len(shape), bc)
         phi = 0.1 + 0.3 * rng(3).uniform(-1.0, 1.0, grid.n_cells)
         ws = dynamics._StepWorkspace(M, Field(grid, phi))
         x = phi + 0.01 * rng(4).uniform(-1.0, 1.0, grid.n_cells)
         dt = 1e-3
-        ws.jacobian_solver(x, dt)
+        solve = ws.jacobian_solver(x, dt)
         A = seen[0]
         ref = jacobian_matrix_oracle(ws, x, dt).toarray()
         if M.preset == "CH_NONLINEAR":
@@ -293,6 +294,45 @@ class TestLaggedJacobian:
             assert np.max(np.abs(A - ref)) <= 1e-12 * np.max(np.abs(ref))
         else:
             assert np.array_equal(A, ref)
+        # the solve inverts the full Jacobian: the sparse part minus the mean
+        # term u v^T, u = dt beta / n, v = c, that Sherman-Morrison folds in
+        c = M.potential.d2F(x) + (ws.w if ws.w is not None else 0.0)
+        b = rng(6).standard_normal(grid.n_cells)
+        y = solve(b)
+        J_y = ref @ y - (dt * M.beta / grid.n_cells) * (c @ y)
+        assert np.linalg.norm(J_y - b) <= 1e-12 * np.linalg.norm(b)
+
+    def test_stepper_and_stationary_share_the_lu_ordering(self, monkeypatch):
+        kwargs = []
+        real = dynamics.spla.splu
+
+        def splu(A, **kw):
+            kwargs.append(kw)
+            return real(A, **kw)
+
+        for module in (dynamics, stationary):
+            monkeypatch.setattr(module, "spla", types.SimpleNamespace(
+                **{**vars(module.spla), "splu": splu}))
+        M = ch_model()
+        grid = Grid((16,), (1.0,))
+        s = State(Field(grid, 0.1 + 0.3 * np.cos(2 * np.pi * grid.axes()[0])))
+        step(M, s, 1e-3, StepperConfig())
+        stepper_calls = len(kwargs)
+        solve_equilibrium(M, 0.1, s.phi)
+        assert 0 < stepper_calls < len(kwargs)
+        assert all(kw == g.SPLU_ORDERING for kw in kwargs)
+
+    def test_lu_ordering_fills_less_than_colamd(self, monkeypatch):
+        seen = []
+        real = dynamics.spla.splu
+        monkeypatch.setattr(dynamics, "spla", types.SimpleNamespace(
+            splu=lambda A, **kw: seen.append(A) or real(A, **kw)))
+        grid = Grid((40, 40), (1.0, 1.0))
+        phi = 0.1 + 0.3 * rng(1).uniform(-1.0, 1.0, grid.n_cells)
+        dynamics._StepWorkspace(nl_model(), Field(grid, phi)).jacobian_solver(phi, 1e-4)
+        ordered = real(seen[0], **g.SPLU_ORDERING)
+        colamd = real(seen[0], permc_spec="COLAMD")
+        assert ordered.L.nnz + ordered.U.nnz <= 0.75 * (colamd.L.nnz + colamd.U.nnz)
 
     @pytest.mark.parametrize("breakdown", ["nan", "zero"])
     def test_sherman_morrison_breakdown_raises(self, monkeypatch, breakdown):
@@ -305,7 +345,7 @@ class TestLaggedJacobian:
         c = np.asarray(M.potential.d2F(s.phi.data))
         scale = np.nan if breakdown == "nan" else 1.0 / (dt * M.beta * c.mean())
         stub = types.SimpleNamespace(solve=lambda b: scale * b)
-        monkeypatch.setattr(dynamics, "spla", types.SimpleNamespace(splu=lambda A: stub))
+        monkeypatch.setattr(dynamics, "spla", types.SimpleNamespace(splu=lambda A, **kw: stub))
         with pytest.raises(NewtonDivergenceError, match="Sherman-Morrison"):
             step(M, s, dt, StepperConfig())
 
@@ -313,11 +353,11 @@ class TestLaggedJacobian:
         real = dynamics.spla.splu
         calls = []
 
-        def splu(A):
+        def splu(A, **kw):
             calls.append(A)
             if len(calls) == 1:
                 return types.SimpleNamespace(solve=lambda b: np.full_like(b, np.nan))
-            return real(A)
+            return real(A, **kw)
 
         monkeypatch.setattr(dynamics, "spla", types.SimpleNamespace(splu=splu))
         M = ac_model(theta=0.8, gamma=0.02)

@@ -1,8 +1,11 @@
 """Discrete-calculus unit tests: stencils, conservation identities, norms."""
 
+import types
+
 import numpy as np
 import pytest
-from scipy.signal import fftconvolve
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phaselab import (
     Field,
@@ -292,13 +295,31 @@ class TestKernelMatrix:
         dense = dense_kernel(K) @ u
         assert np.max(np.abs(fast - dense)) <= 1e-10
 
-    @pytest.mark.parametrize("shape", [(128,), (40, 40), (64, 64), (5, 9)])
-    def test_fast_path_equals_fftconvolve_bitwise(self, shape):
-        grid = Grid(shape, tuple(1.0 for _ in shape))
-        K = KernelMatrix.from_profile(grid, self.gaussian_profile())
-        u = rng(12).uniform(-1, 1, grid.n_cells)
-        ref = fftconvolve(u.reshape(shape), K.stencil, mode="same").ravel()
-        assert np.array_equal(K.apply_values(u), ref)
+    @pytest.mark.parametrize("shape", [(1,), (2,), (7,), (127,), (128,), (1, 5), (5, 9),
+                                       (40, 40)])
+    def test_exact_length_fft_matches_direct_sum(self, shape):
+        check_against_direct_sum(shape, 12)
+
+    @given(st.lists(st.integers(1, 32), min_size=1, max_size=2), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_exact_length_fft_matches_direct_sum_random_shapes(self, shape, seed):
+        check_against_direct_sum(tuple(shape), seed)
+
+
+def check_against_direct_sum(shape, seed):
+    """The padded-FFT apply equals sum_j stencil[x_i - x_j] u_j within roundoff.
+
+    Grid needs two cells per axis, the convolution does not: a stand-in grid
+    carries the shape so that one-cell axes are checked too.
+    """
+    grid = types.SimpleNamespace(shape=shape, dim=len(shape),
+                                 n_cells=int(np.prod(shape)))
+    r = rng(seed)
+    stencil = r.uniform(0.0, 1.0, tuple(2 * n - 1 for n in shape))
+    K = KernelMatrix(grid, stencil)
+    u = r.uniform(-1.0, 1.0, grid.n_cells)
+    ref = dense_kernel(K) @ u
+    assert np.max(np.abs(K.apply_values(u) - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 class TestFieldIO:

@@ -130,18 +130,6 @@ class TestCoefficientSpecs:
                 a_star=1.0,
             )
 
-    def test_antiderivative_sqrt(self):
-        # a == 4 gives A(s) = 2 s exactly
-        spec = DiffusionSpec.constant(4.0)
-        s = np.array([-0.5, 0.0, 0.8])
-        assert np.allclose(spec.antiderivative_sqrt(s), 2.0 * s, atol=1e-14)
-
-    def test_antiderivative_sqrt_poly(self):
-        # a(s) = (1 + s/2)^2 so sqrt(a) = 1 + s/2 and A(s) = s + s^2/4
-        spec = DiffusionSpec.polynomial([1.0, 1.0, 0.25], a_star=0.25)
-        s = np.array([-0.5, 0.0, 0.3, 0.9])
-        assert np.allclose(spec.antiderivative_sqrt(s), s + 0.25 * s * s, atol=1e-12)
-
 
 class TestPresets:
     def test_preset_constant_tables(self):
