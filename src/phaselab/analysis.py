@@ -28,6 +28,7 @@ from .errors import (
     ConditionNotMetError,
     DegenerateWindowError,
     InsufficientSnapshotsError,
+    PhaselabError,
     WindowOutOfRangeError,
 )
 
@@ -435,8 +436,6 @@ def omega_limit_estimate(traj, gts: GoodTimeSet | None, n_reps: int, tol: float,
     nearest_delta = None
     model = model if model is not None else traj.model
     if model is not None:
-        from .errors import PhaselabError
-
         last_t, last_f = traj.snapshots[-1]
         try:
             eq = st.solve_equilibrium(model, k=last_f.mean(), guess=last_f,
@@ -445,7 +444,7 @@ def omega_limit_estimate(traj, gts: GoodTimeSet | None, n_reps: int, tol: float,
             nearest_distance = g.norm_l2(
                 g.Field(traj.grid, last_f.data - eq.phi_inf.data))
             nearest_delta = eq.delta
-        except (PhaselabError, np.linalg.LinAlgError):
+        except PhaselabError:
             nearest = None
     return OmegaLimitEstimate(
         np.array([t for t, _ in reps]), l2, hm1, dispersion, singleton,

@@ -20,6 +20,7 @@ from . import grid as g
 from . import physics as ph
 from .dynamics import StepperConfig
 from .errors import ParseError, ValidationError
+from .stationary import SEED_KINDS
 
 
 def _as_bool(s: str) -> bool:
@@ -186,6 +187,13 @@ class ExperimentConfig:
             path = v["initial"]["path"]
             if not path or not Path(path).exists():
                 raise ValidationError(f"initial data file not found: {path!r}")
+        try:
+            self.build_stepper()
+        except ValueError as exc:
+            raise ValidationError(f"[time] {exc}") from exc
+        seeds = v["analysis"]["eq_seeds"]
+        if not seeds or not set(seeds.split()) <= set(SEED_KINDS):
+            raise ValidationError(f"[analysis] eq_seeds = {seeds!r}: not a subset of {SEED_KINDS}")
 
     # ---- canonical form ---------------------------------------------------
 

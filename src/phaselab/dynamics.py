@@ -90,6 +90,8 @@ class StepperConfig:
             raise ValueError("need 0 < dt_min <= dt_init <= dt_max")
         if self.newton_tol <= 0 or self.tol_e <= 0:
             raise ValueError("tolerances must be positive")
+        if min(self.snapshot_every, self.newton_max_iter, self.steady_dwell) < 1:
+            raise ValueError("snapshot_every, newton_max_iter and steady_dwell must be >= 1")
 
 
 # Trajectory attribute -> (diagnostics.csv column, value type), in CSV order.

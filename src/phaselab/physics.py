@@ -398,16 +398,20 @@ class Evaluation:
     gate, its frozen coefficients and the recorded diagnostics read one
     evaluation of each state, through the same code the public functions
     below use.  ``mu`` may be given to evaluate the dissipation of another
-    potential at this state.
+    potential at this state, and ``dF`` to supply F'(phi) for a state
+    parametrized by the entropy variable psi = F'(phi).
     """
 
-    def __init__(self, M: ModelConfig, phi: g.Field, mu: np.ndarray | None = None):
+    def __init__(self, M: ModelConfig, phi: g.Field, mu: np.ndarray | None = None,
+                 dF: np.ndarray | None = None):
         self.M = M
         self.grid = phi.grid
         self.phi = phi.data
         self.ops = phi.grid.faces
         if mu is not None:
             self.mu = mu
+        if dF is not None:
+            self.dF = dF
 
     def _faces(self, spec) -> np.ndarray | float:
         if spec.is_constant:
@@ -455,9 +459,13 @@ class Evaluation:
         return out
 
     @cached_property
+    def dF(self) -> np.ndarray:
+        return np.asarray(self.M.potential.dF(self.phi))
+
+    @cached_property
     def mu(self) -> np.ndarray:
         M = self.M
-        mu = np.asarray(M.potential.dF(self.phi)) + self.explicit
+        mu = self.dF + self.explicit
         if M.gamma > 0:  # -gamma div(a grad phi)
             mu += M.gamma * self.ops.div(self.ops.inv_h * (self.a_face * self.grad))
         if M.sigma2 and M.nonlocal_consistency:

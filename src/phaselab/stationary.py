@@ -1,19 +1,25 @@
 """Stationary states: mu(phi_inf) = mu_inf constant, at prescribed mean.
 
 All three model presets share the same stationary form, so the residual is
-simply the chemical potential minus an unknown constant multiplier.  The
-solver treats (phi, mu_inf) as a bordered Newton system
+simply the chemical potential minus an unknown constant multiplier.  One
+damped bordered Newton solves for an unknown z and mu_inf,
 
-    [ d(mu)/d(phi)   -1 ] [ d_phi    ]   [ mu(phi) - mu_inf ]
-    [ mean-row        0 ] [ d_mu_inf ] = [ mean(phi) - k    ]
+    [ d(mu)/d(phi) diag(t)   -1 ] [ d_z      ]   [ mu(phi) - mu_inf ]
+    [ mean-row diag(t)        0 ] [ d_mu_inf ] = [ mean(phi) - k    ]
 
-with the same pointwise clamping as the dynamic stepper.  The bordered
-Jacobian is never formed densely: its local part (the potential diagonal, the
-frozen-coefficient diffusion stencil and the border) is a sparse matrix
-factored by SuperLU; a convolution kernel adds a part that is applied by FFT,
-and GMRES preconditioned by the local LU solves the full system.  Stationary
-states are generally non-unique; which one is found depends on the initial
-guess, so seeds are first-class inputs and get recorded with the result.
+with z = phi and t = 1 when gamma > 0 (backtracking keeps phi inside the
+guard band), and z = psi = F'(phi), phi = (F')^{-1}(psi), t = 1/F''(phi)
+when gamma = 0 (every psi maps strictly inside (-1, 1), so the barrier never
+throttles the step).  Each trial state gets one ``physics.Evaluation``; it
+supplies the residual and the diffusion coefficient frozen for the next
+Jacobian, and in psi it takes psi as F'(phi).  A step backtracks at most
+``MAX_BACKTRACKS`` halvings.  The bordered Jacobian is never formed densely:
+its local part (the potential diagonal, the frozen-coefficient diffusion
+stencil and the border) is a sparse matrix factored by SuperLU; a
+convolution kernel adds a part that is applied by FFT, and GMRES
+preconditioned by the local LU solves the full system.  Stationary states are
+generally non-unique; which one is found depends on the initial guess, so
+seeds are first-class inputs and get recorded with the result.
 """
 
 from __future__ import annotations
@@ -69,6 +75,9 @@ def stationary_residual(M: ph.ModelConfig, phi: g.Field, mu_c: float) -> g.Field
 GMRES_RTOL = 1e-13      # at roundoff level, so Newton iteration counts match an exact solve
 GMRES_RESTART = 100     # the LU-preconditioned kernel operator converges well within one cycle
 GMRES_MAXITER = 20      # restart cycles; more means the linear solve is failing, not slow
+
+# Step halvings per Newton step before the damping gives up.
+MAX_BACKTRACKS = 60
 
 
 class _BorderedJacobian:
@@ -130,69 +139,67 @@ class _BorderedJacobian:
 def solve_equilibrium(M: ph.ModelConfig, k: float, guess: g.Field,
                       tol: float = 1e-12, max_iter: int = 80,
                       seed_id: str = "") -> EquilibriumState:
-    """Damped bordered Newton for (phi_inf, mu_inf) with mean(phi_inf) = k.
-
-    Gradient-free models (gamma = 0) are solved in the entropy variable
-    psi = F'(phi): the map phi = (F')^{-1}(psi) keeps iterates strictly
-    inside (-1, 1), so the barrier never throttles the Newton step.
-    """
+    """Damped bordered Newton for (phi_inf, mu_inf) with mean(phi_inf) = k,
+    over phi when gamma > 0 and over psi = F'(phi) when gamma = 0."""
     if abs(k) >= 1.0:
         raise ValueError("prescribed mean must lie in (-1, 1)")
-    if M.gamma == 0:
-        return _solve_equilibrium_entropy(M, k, guess, tol, max_iter, seed_id)
     grid = guess.grid
     n = grid.n_cells
     P = M.potential
     eps = P.eps_guard
     limit = 1.0 - eps
-    sqrt_vol = np.sqrt(grid.cell_volume)
     K = M.kernel.matrix(grid) if M.sigma2 else None
     shift = -P.theta0 * M.sigma1
     if K is not None and M.nonlocal_consistency:
         shift = shift + K.row_sums
+    entropy = M.gamma == 0
 
-    x = np.clip(guess.data.copy(), -limit + eps, limit - eps)
-    mu_c = float(ph.chemical_potential(M, g.Field(grid, x)).data.mean())
+    def evaluate(z):
+        """The state of unknown z, or None where z leaves the guard band."""
+        if entropy:
+            return ph.Evaluation(M, g.Field(grid, P.inverse_dF(z)), dF=z)
+        return ph.Evaluation(M, g.Field(grid, z)) if np.max(np.abs(z)) < limit else None
 
-    def total_residual(xv, mv):
-        r1 = ph.chemical_potential(M, g.Field(grid, xv)).data - mv
-        r2 = float(xv.mean()) - k
-        return r1, r2, float(np.sqrt(np.dot(r1, r1) * grid.cell_volume + r2 * r2))
+    def residual(ev, mu_c):
+        res = np.append(ev.mu - mu_c, float(ev.phi.mean()) - k)
+        return res, float(np.sqrt(np.dot(res[:n], res[:n]) * grid.cell_volume
+                                  + res[n] * res[n]))
 
-    r1, r2, rnorm = total_residual(x, mu_c)
-    jac = None
-    iters = 0
+    z = (np.asarray(P.dF(np.clip(guess.data, -limit, limit))) if entropy
+         else np.clip(guess.data, -limit + eps, limit - eps))
+    jac = _BorderedJacobian(sp.identity(n, format="csc")) if entropy else None
+    ev = evaluate(z)
+    mu_c = float(ev.mu.mean())
+    res, rnorm = residual(ev, mu_c)
     for iters in range(1, max_iter + 1):
-        if rnorm <= tol and abs(r2) <= 1e-12:
+        if rnorm <= tol and abs(res[n]) <= 1e-12:
             break
         # the diffusion coefficient is frozen at the iterate and its a'
         # gradient-square derivative dropped, trading quadratic convergence
         # for robustness
-        if jac is None or not M.diffusion.is_constant:
-            a_face = ph.Evaluation(M, g.Field(grid, x)).a_face
-            S = -M.gamma * g.weighted_laplacian_matrix(grid, a_face)
+        if jac is None or not (entropy or M.diffusion.is_constant):
+            S = -M.gamma * g.weighted_laplacian_matrix(grid, ev.a_face)
             if jac is None:
                 jac = _BorderedJacobian(S)
             else:
                 jac.set_local(S)
-        d2 = P.d2F_checked(x)
-        rhs = np.concatenate([-r1, [-r2]])
-        delta = jac.solve(d2 + shift, 1.0 / n, rhs, K, 1.0, iters, rnorm)
+        d2 = P.d2F_checked(ev.phi)
+        # t = dphi/dz scales the columns and the border row; in psi the
+        # local part's identity stands for the potential diagonal F'' t = 1
+        t = 1.0 / d2 if entropy else 1.0
+        d = shift * t if entropy else d2 + shift
+        step = jac.solve(d, t / n, -res, K, t, iters, rnorm)
         lam = 1.0
-        accepted = False
-        for _ in range(40):
-            xn = x + lam * delta[:n]
-            mn = mu_c + lam * delta[n]
-            if np.max(np.abs(xn)) >= limit:
-                lam *= 0.5
-                continue
-            r1n, r2n, rn = total_residual(xn, mn)
-            if rn <= tol or rn < rnorm * (1.0 - 1e-4 * lam):
-                x, mu_c, r1, r2, rnorm = xn, mn, r1n, r2n, rn
-                accepted = True
-                break
+        for _ in range(MAX_BACKTRACKS):
+            z_n, mu_n = z + lam * step[:n], mu_c + lam * step[n]
+            trial = evaluate(z_n)
+            if trial is not None:
+                res_n, rnorm_n = residual(trial, mu_n)
+                if rnorm_n <= tol or rnorm_n < rnorm * (1.0 - 1e-4 * lam):
+                    z, ev, mu_c, res, rnorm = z_n, trial, mu_n, res_n, rnorm_n
+                    break
             lam *= 0.5
-        if not accepted:
+        else:
             raise NewtonDivergenceError("stationary damping exhausted",
                                         iterations=iters, residual=rnorm)
     else:
@@ -201,91 +208,13 @@ def solve_equilibrium(M: ph.ModelConfig, k: float, guess: g.Field,
             iterations=max_iter, residual=rnorm,
         )
 
-    phi_inf = g.Field(grid, x)
-    delta = 1.0 - float(np.max(np.abs(x)))
-    if delta <= 0:
-        raise SeparationFailureError(
-            "converged state touches the pure phases; this should be impossible"
-        )
-    res_l2 = float(np.linalg.norm(r1)) * sqrt_vol
-    return EquilibriumState(phi_inf, mu_c, res_l2, delta, k,
-                            seed_id=seed_id, iterations=iters, model=M)
-
-
-def _solve_equilibrium_entropy(M: ph.ModelConfig, k: float, guess: g.Field,
-                               tol: float, max_iter: int, seed_id: str) -> EquilibriumState:
-    """Bordered Newton in psi = F'(phi) for gamma = 0 models.
-
-    The stationary system reads psi - sigma1 theta0 T(psi) - sigma2 J*T(psi)
-    [+ sigma2 w T(psi)] = mu_inf with T = (F')^{-1}; T' = 1/F''(T) <= 1/theta
-    keeps the Jacobian well conditioned and iterates unconstrained.
-    """
-    grid = guess.grid
-    n = grid.n_cells
-    P = M.potential
-    eps = P.eps_guard
-    sqrt_vol = np.sqrt(grid.cell_volume)
-    K = M.kernel.matrix(grid) if M.sigma2 else None
-    w = K.row_sums if (K is not None and M.nonlocal_consistency) else None
-
-    def local_part(phi):
-        out = np.zeros_like(phi)
-        if M.sigma1:
-            out -= P.theta0 * phi
-        if K is not None:
-            out -= K.apply_values(phi)
-            if w is not None:
-                out += w * phi
-        return out
-
-    psi = np.asarray(P.dF(np.clip(guess.data, -1 + eps, 1 - eps)))
-    phi = np.asarray(P.inverse_dF(psi))
-    mu_c = float(np.mean(psi + local_part(phi)))
-
-    def residuals(psi_v, phi_v, mu_v):
-        r1 = psi_v + local_part(phi_v) - mu_v
-        r2 = float(phi_v.mean()) - k
-        return r1, r2, float(np.sqrt(np.dot(r1, r1) * grid.cell_volume + r2 * r2))
-
-    r1, r2, rnorm = residuals(psi, phi, mu_c)
-    jac = _BorderedJacobian(sp.identity(n, format="csc"))
-    shift = -P.theta0 * M.sigma1 + (w if w is not None else 0.0)
-    iters = 0
-    for iters in range(1, max_iter + 1):
-        if rnorm <= tol and abs(r2) <= 1e-12:
-            break
-        Tp = 1.0 / np.asarray(P.d2F(phi))
-        rhs = np.concatenate([-r1, [-r2]])
-        delta_step = jac.solve(shift * Tp, Tp / n, rhs, K, Tp, iters, rnorm)
-        lam = 1.0
-        accepted = False
-        for _ in range(60):
-            psi_n = psi + lam * delta_step[:n]
-            mu_n = mu_c + lam * delta_step[n]
-            phi_n = np.asarray(P.inverse_dF(psi_n))
-            r1n, r2n, rn = residuals(psi_n, phi_n, mu_n)
-            if rn <= tol or rn < rnorm * (1.0 - 1e-4 * lam):
-                psi, phi, mu_c = psi_n, phi_n, mu_n
-                r1, r2, rnorm = r1n, r2n, rn
-                accepted = True
-                break
-            lam *= 0.5
-        if not accepted:
-            raise NewtonDivergenceError("stationary damping exhausted",
-                                        iterations=iters, residual=rnorm)
-    else:
-        raise NewtonDivergenceError(
-            f"stationary solve did not converge in {max_iter} iterations",
-            iterations=max_iter, residual=rnorm,
-        )
-
-    phi_inf = g.Field(grid, np.clip(phi, -1 + eps, 1 - eps))
+    phi_inf = g.Field(grid, np.clip(ev.phi, -limit, limit))
     delta = 1.0 - float(np.max(np.abs(phi_inf.data)))
     if delta <= 0:
         raise SeparationFailureError(
             "converged state touches the pure phases; this should be impossible"
         )
-    res_l2 = float(np.linalg.norm(r1)) * sqrt_vol
+    res_l2 = float(np.linalg.norm(res[:n])) * np.sqrt(grid.cell_volume)
     return EquilibriumState(phi_inf, mu_c, res_l2, delta, k,
                             seed_id=seed_id, iterations=iters, model=M)
 
@@ -324,7 +253,11 @@ def bulk_root(potential, tol: float = 1e-13) -> float:
     return float(ph.bisect(fprime, 1e-9, hi, xtol=tol))
 
 
-def equilibrium_seeds(grid: g.Grid, k: float, kinds=("constant", "tanh"),
+# The seed kinds of equilibrium_seeds: "tanh" names both layer profiles.
+SEED_KINDS = ("constant", "tanh")
+
+
+def equilibrium_seeds(grid: g.Grid, k: float, kinds=SEED_KINDS,
                       amplitude: float | None = None, width: float | None = None,
                       potential=None) -> list:
     """Library of initial guesses: constants and interface-layer profiles.

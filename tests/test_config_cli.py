@@ -125,6 +125,28 @@ sigma2 = 0
         with pytest.raises(ValidationError, match="potential kind"):
             ExperimentConfig.from_string(text)
 
+    @pytest.mark.parametrize("line, bad", [
+        ("dt_init = 1e-4", "dt_init = 1e-4\ndt_min = 1e-3"),
+        ("snapshot_every = 20", "snapshot_every = 0"),
+        ("t_max = 2.0", "t_max = 2.0\nnewton_max_iter = 0"),
+        ("t_max = 2.0", "t_max = 2.0\nsteady_dwell = 0"),
+    ])
+    def test_bad_time_values_rejected(self, tmp_path, capsys, line, bad):
+        text = MINIMAL_AC.format(out=tmp_path / "run").replace(line, bad)
+        with pytest.raises(ValidationError, match=r"\[time\]"):
+            ExperimentConfig.from_string(text)
+        assert main(["simulate", str(write_cfg(tmp_path, text))]) == 2
+        assert capsys.readouterr().err.startswith("error: [time]")
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("seeds", ["tanh_mid", "constant tanh_flip", ""])
+    def test_unknown_eq_seeds_rejected(self, tmp_path, seeds):
+        text = MINIMAL_AC.format(out=tmp_path).replace(
+            "[output]", f"[analysis]\neq_seeds = {seeds}\n\n[output]")
+        with pytest.raises(ValidationError, match="eq_seeds"):
+            ExperimentConfig.from_string(text)
+        ExperimentConfig.from_string(text.replace(f"eq_seeds = {seeds}", "eq_seeds = tanh"))
+
     def test_file_initial_data_must_exist(self, tmp_path):
         text = MINIMAL_AC.format(out=tmp_path).replace(
             "kind = cosine-perturbation", "kind = file")

@@ -26,7 +26,7 @@ from phaselab import (
     stationary_residual,
     step,
 )
-from phaselab import stationary
+from phaselab import physics, stationary
 from phaselab.errors import NewtonDivergenceError
 from phaselab.grid import weighted_laplacian_matrix
 from phaselab.stationary import equilibrium_seeds
@@ -227,6 +227,22 @@ class TestAgainstDenseOracle:
         eq = solve_equilibrium(M, k, guess, tol=1e-12)
         assert np.max(np.abs(eq.phi_inf.data - phi_ref)) <= 1e-10
         assert abs(eq.mu_inf - mu_ref) <= 1e-10
+
+    @pytest.mark.parametrize("case", ["ch_varying_diffusion", "nl_consistent"])
+    def test_one_evaluation_per_trial_state(self, case, monkeypatch):
+        M, k, guess = _oracle_cases()[case]
+        states = []
+
+        class Counted(physics.Evaluation):
+            def __init__(self, M, phi, *args, **kwargs):
+                super().__init__(M, phi, *args, **kwargs)
+                states.append(phi.data.tobytes())
+
+        monkeypatch.setattr(physics, "Evaluation", Counted)
+        eq = solve_equilibrium(M, k, guess, tol=1e-12)
+        # every iterate is evaluated, and no state twice
+        assert len(states) >= eq.iterations > 2
+        assert len(set(states)) == len(states)
 
     def test_gmres_failure_is_typed(self, monkeypatch):
         M, k, guess = _oracle_cases()["general_kernel"]
