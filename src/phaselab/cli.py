@@ -13,11 +13,13 @@ import concurrent.futures
 import datetime
 import json
 import os
+import platform
 import sys
 import time
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__
 from . import analysis as an
@@ -35,6 +37,9 @@ from .errors import (
 
 ENV_OUTPUT_ROOT = "PHASELAB_OUTPUT_ROOT"
 SCHEMA_TAG = "phaselab-run-1"
+# The versions every run record depends on (the kernel FFT is numpy's).
+ENVIRONMENT = {"python": platform.python_version(), "numpy": np.__version__,
+               "scipy": scipy.__version__}
 
 
 def _resolve_outdir(cfg_dir: str) -> Path:
@@ -55,6 +60,7 @@ def _manifest(outdir: Path, digest: str, files, assertions: dict, started: float
         "schema": SCHEMA_TAG,
         "code_version": __version__,
         "config_digest": digest,
+        "environment": ENVIRONMENT,
         "started_at": datetime.datetime.fromtimestamp(started).isoformat(),
         "finished_at": datetime.datetime.now().isoformat(),
         "files": sorted(str(f) for f in files),
@@ -140,6 +146,10 @@ def cmd_equilibrium(args) -> int:
     converged = 0
     for seed_id, guess in st.equilibrium_seeds(grid, k, kinds=kinds,
                                                potential=model.potential):
+        if isinstance(guess, str):
+            results.append({"seed_id": seed_id, "error": f"skipped: {guess}"})
+            print(f"equilibrium: seed {seed_id} skipped: {guess}")
+            continue
         key = f"eq_{seed_id}"
         try:
             eq = st.solve_equilibrium(model, k, guess, tol=pars["eq_tol"],

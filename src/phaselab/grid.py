@@ -20,11 +20,10 @@ Conventions:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.sparse as sp
-from scipy import fft as sp_fft
 
 from .errors import GridMismatchError
 
@@ -270,21 +269,56 @@ SPLU_ORDERING = {"permc_spec": "MMD_AT_PLUS_A", "options": {"SymmetricMode": Tru
 def norm_hminus1(u: Field) -> float:
     """Discrete H^{-1} norm of the mean-zero part of u.
 
-    The cell-centred Laplacian with the grid's boundary mode is diagonal in
-    the orthonormal DCT-II (Neumann) or Fourier (periodic) basis, with per-axis
-    eigenvalues (2/h sin(pi k/2n))^2 or (2/h sin(pi k/n))^2 summed over axes.
-    Dropping the zero mode, (u - mean(u), -lap^{-1}(u - mean(u))) is
-    vol * sum |u_k|^2 / lam_k.
+    The periodic cell-centred Laplacian is diagonal in the Fourier basis, so
+    for b = u - mean(u), (b, -lap^{-1} b) is vol * sum |b_k|^2 / lam_k over
+    the nonzero modes.  Under Neumann boundaries b is first mirrored to 2n
+    cells per axis: the mirror is periodic, and its periodic Laplacian and
+    that Laplacian's inverse are the mirrors of the Neumann ones (the DCT-II
+    eigenvalues (2/h sin(pi k/2n))^2), so the periodic formula on the mirror
+    is 2^dim times the Neumann norm squared.
     """
     grid = u.grid
     b = (u.data - u.data.mean()).reshape(grid.shape)
-    periodic = grid.bc == PERIODIC
-    coef = sp_fft.fftn(b, norm="ortho") if periodic else sp_fft.dctn(b, type=2, norm="ortho")
-    per_axis = [((2.0 / h) * np.sin(np.pi * np.arange(n) / (n if periodic else 2 * n))) ** 2
-                for n, h in zip(grid.shape, grid.spacing)]
+    if grid.bc == NEUMANN:
+        for a in range(b.ndim):
+            b = np.concatenate([b, np.flip(b, a)], axis=a)
+    coef = np.fft.rfftn(b)
+    power = (coef.real ** 2 + coef.imag ** 2) * _hminus1_weights(b.shape, grid.spacing)
+    vol = grid.cell_volume * grid.n_cells / b.size  # 1 / 2^dim on the mirror
+    return float(np.sqrt(np.sum(power) * vol))
+
+
+@lru_cache(maxsize=16)
+def _hminus1_weights(shape: tuple, spacing: tuple) -> np.ndarray:
+    """1 / (N lam_k) per ``np.fft.rfftn`` mode of an N-cell periodic grid.
+
+    lam_k sums the per-axis eigenvalues (2/h sin(pi k/n))^2 (weight 0 at
+    k = 0); 1/N makes the transform orthonormal.  Of the last axis rfftn keeps
+    k <= n/2, and every such column but k = 0 and k = n/2 counts twice, for
+    its conjugate mirror.
+    """
+    per_axis = [((2.0 / h) * np.sin(np.pi * np.arange(n) / n)) ** 2
+                for n, h in zip(shape, spacing)]
+    k = np.arange(shape[-1] // 2 + 1)
+    per_axis[-1] = per_axis[-1][k]
     lam = sum(np.meshgrid(*per_axis, indexing="ij", sparse=True))
     lam.flat[0] = np.inf
-    return float(np.sqrt(np.sum(np.abs(coef) ** 2 / lam) * grid.cell_volume))
+    weights = np.where((k == 0) | (2 * k == shape[-1]), 1.0, 2.0) / (lam * np.prod(shape))
+    weights.flags.writeable = False
+    return weights
+
+
+def fast_length(m: int) -> int:
+    """The smallest 5-smooth integer (2^a 3^b 5^c) >= m >= 1: the lengths that
+    pocketfft transforms fastest, as ``scipy.fft.next_fast_len(m, real=True)``."""
+    while True:
+        r = m
+        for p in (2, 3, 5):
+            while r % p == 0:
+                r //= p
+        if r == 1:
+            return m
+        m += 1
 
 
 class KernelMatrix:
@@ -296,7 +330,7 @@ class KernelMatrix:
     (length 2n-1).  A circular convolution of period L adds to output k the
     full-convolution terms at k +- L, which lie outside ``[0, 3n-2)`` for
     every k in the window once L >= 2n-1: so each axis is padded only to
-    ``next_fast_len(2n - 1)``, where the stencil spectrum is computed once,
+    ``fast_length(2n - 1)``, where the stencil spectrum is computed once,
     and each apply is one forward and one inverse real FFT.
     """
 
@@ -309,8 +343,9 @@ class KernelMatrix:
             )
         self.grid = grid
         self.stencil = stencil
-        self._fshape = tuple(sp_fft.next_fast_len(m, real=True) for m in expected)
-        self._spectrum = sp_fft.rfftn(stencil, self._fshape)
+        self._fshape = tuple(fast_length(m) for m in expected)
+        self._axes = tuple(range(len(expected)))
+        self._spectrum = np.fft.rfftn(stencil, self._fshape, self._axes)
         self._window = tuple(slice(n - 1, 2 * n - 1) for n in grid.shape)
 
     @classmethod
@@ -328,8 +363,8 @@ class KernelMatrix:
 
     def apply_values(self, values: np.ndarray) -> np.ndarray:
         """sum_j K[i][j] values_j on flat cell values."""
-        u = sp_fft.rfftn(values.reshape(self.grid.shape), self._fshape)
-        out = sp_fft.irfftn(u * self._spectrum, self._fshape)
+        u = np.fft.rfftn(values.reshape(self.grid.shape), self._fshape, self._axes)
+        out = np.fft.irfftn(u * self._spectrum, self._fshape, self._axes)
         return out[self._window].ravel()
 
     @cached_property

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import xlogy
 
 from . import grid as g
 from .errors import PotentialDomainError, ValidationError
@@ -36,6 +35,11 @@ PRESET_AC = "CONSERVED_AC"
 PRESET_NONLOCAL = "NONLOCAL_CH"
 
 _SAMPLE = np.linspace(-1 + 1e-9, 1 - 1e-9, 4001)
+
+
+def _xlogx(x):
+    """x log x on x >= 0, with 0 log 0 = 0 (log is taken of 1 there)."""
+    return x * np.log(np.where(x > 0.0, x, 1.0))
 
 
 class PotentialSpec:
@@ -78,7 +82,7 @@ class PotentialSpec:
         return cls(theta, theta0, "custom", eps_guard, f0, f1, f2)
 
     def _log0(self, s):
-        return 0.5 * self.theta * (xlogy(1.0 + s, 1.0 + s) + xlogy(1.0 - s, 1.0 - s))
+        return 0.5 * self.theta * (_xlogx(1.0 + s) + _xlogx(1.0 - s))
 
     def _log1(self, s):
         return 0.5 * self.theta * np.log((1.0 + s) / (1.0 - s))

@@ -262,10 +262,11 @@ def equilibrium_seeds(grid: g.Grid, k: float, kinds=SEED_KINDS,
                       potential=None) -> list:
     """Library of initial guesses: constants and interface-layer profiles.
 
-    Every returned pair is (seed_id, admissible Field with mean exactly k).
-    With a potential supplied, layer plateaus sit just inside the coexistence
-    bulk values; the default layer width is a few cells so thin-interface
-    equilibria are reachable.
+    Every returned pair is (seed_id, guess).  The guess is an admissible Field
+    with mean exactly k or, for a layer profile that cannot be placed at this
+    k, a str saying why it was skipped.  With a potential supplied, layer
+    plateaus sit just inside the coexistence bulk values; the default layer
+    width is a few cells so thin-interface equilibria are reachable.
     """
     seeds = []
     if "constant" in kinds:
@@ -277,8 +278,10 @@ def equilibrium_seeds(grid: g.Grid, k: float, kinds=SEED_KINDS,
         xs = grid.cell_centers()[0].ravel()
         L = grid.lengths[0]
         w = width if width is not None else 3.0 * grid.spacing[0]
+        at = f"k = {k:g}, amplitude = {amplitude:g}"
         for sign, name in ((+1.0, "tanh_mid"), (-1.0, "tanh_flip")):
             if abs(k) >= 0.9 * amplitude:
+                seeds.append((name, f"{at}: |k| >= 0.9 * amplitude leaves no room for a layer"))
                 continue
             # place the interface so the discrete mean hits k exactly
             x0 = 0.5 * L * (1.0 - sign * k / amplitude)
@@ -291,6 +294,7 @@ def equilibrium_seeds(grid: g.Grid, k: float, kinds=SEED_KINDS,
                 x0 = float(np.clip(x0, w, L - w))
             prof = sign * amplitude * np.tanh((xs - x0) / w)
             prof += k - prof.mean()  # residual shift far below the margin
-            if np.max(np.abs(prof)) < 1.0:
-                seeds.append((name, g.Field(grid, prof)))
+            peak = float(np.max(np.abs(prof)))
+            seeds.append((name, g.Field(grid, prof) if peak < 1.0 else
+                          f"{at}: the layer reaches |phi| = {peak:g} >= 1"))
     return seeds

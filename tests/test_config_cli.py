@@ -2,12 +2,14 @@
 
 import json
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 from phaselab import Field, Grid, save_field
 from phaselab.analysis import classify_good_times
@@ -315,6 +317,37 @@ class TestCLI:
         sidecar = json.loads((out / "eq_constant.json").read_text())
         assert set(sidecar) == {"mu_inf", "residual", "delta", "k", "seed_id"}
 
+    def test_equilibrium_reports_skipped_seeds(self, tmp_path, capsys):
+        # at mean 0.85 neither tanh layer fits inside (-1, 1)
+        out = tmp_path / "eq"
+        text = (MINIMAL_AC.format(out=out).replace("nx = 64", "nx = 32")
+                .replace("mean = 0.1", "mean = 0.85").replace("amplitude = 0.3", "amplitude = 0.05")
+                + "\n[analysis]\neq_seeds = tanh\n")
+        assert main(["equilibrium", str(write_cfg(tmp_path, text))]) == 1
+        results = json.loads((out / "equilibria.json").read_text())
+        assert [r["seed_id"] for r in results] == ["tanh_mid", "tanh_flip"]
+        printed = capsys.readouterr().out
+        for r in results:
+            assert set(r) == {"seed_id", "error"}
+            assert r["error"].startswith("skipped: k = 0.85, amplitude = ")
+            assert f"seed {r['seed_id']} {r['error']}" in printed
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["assertions"] == {"any_converged": False}
+
+    def test_manifest_stamps_the_environment(self, tmp_path):
+        out = tmp_path / "run"
+        text = MINIMAL_AC.format(out=out).replace("t_max = 2.0", "t_max = 0.05")
+        assert main(["simulate", str(write_cfg(tmp_path, text))]) == 0
+        path = out / "manifest.json"
+        manifest = json.loads(path.read_text())
+        assert manifest["environment"] == {"python": platform.python_version(),
+                                           "numpy": np.__version__, "scipy": scipy.__version__}
+        # a run directory written without the stamp is still analyzed
+        del manifest["environment"]
+        path.write_text(json.dumps(manifest))
+        assert main(["analyze", str(out)]) == 0
+        assert "environment" in json.loads(path.read_text())
+
     def test_output_root_env_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("PHASELAB_OUTPUT_ROOT", str(tmp_path / "root"))
         cfg_path = write_cfg(tmp_path, MINIMAL_AC.format(out="rel_run")
@@ -400,23 +433,79 @@ class TestRunRecord:
         assert summaries[0].keys() == summaries[1].keys()
 
 
-def loaded_by_cli_import(modules) -> str:
-    """Which of ``modules`` a fresh ``import phaselab.cli`` loads, as printed."""
-    code = ("import sys, phaselab.cli; "
-            f"print(sorted(m for m in {tuple(modules)!r} if m in sys.modules))")
+NONLOCAL_1D = """
+[grid]
+dim = 1
+nx = 32
+lx = 1.0
+
+[potential]
+theta = 0.3
+theta0 = 1.0
+
+[kernel]
+kind = gaussian
+scale = 0.1
+
+[model]
+preset = NONLOCAL_CH
+
+[initial]
+kind = cosine-perturbation
+mean = 0.1
+amplitude = 0.05
+mode = 2
+
+[time]
+dt_init = 1e-4
+dt_max = 2e-2
+t_max = 0.2
+snapshot_every = 5
+
+[output]
+dir = {out}
+"""
+
+# scipy modules phaselab must not load: each costs more start-up time than
+# the library would use of it
+UNLOADED = {
+    "scipy.fft": "the kernel and H^-1 transforms are numpy FFTs",
+    "scipy.special": "x log x is numpy; scipy.fft pulls it in (~0.1 s)",
+    "scipy.optimize": "the root finders are one bisection in physics; ~0.2 s",
+    "scipy.signal": "pulls in scipy.stats, most of the CLI's start-up time",
+    "scipy.stats": "pulled in by scipy.signal",
+}
+
+
+def unloaded_modules_loaded_by(code: str) -> list:
+    """Which modules of UNLOADED a fresh interpreter has loaded after ``code``."""
+    code += ("\nimport json, sys\n"
+             f"print(json.dumps(sorted(m for m in {tuple(UNLOADED)!r} if m in sys.modules)))")
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
-    return out.stdout.strip()
+    return json.loads(out.stdout.splitlines()[-1])
 
 
-def test_cli_import_leaves_signal_and_stats_out():
-    # scipy.signal pulls in scipy.stats, most of the CLI's start-up time
-    assert loaded_by_cli_import(("scipy.signal", "scipy.stats")) == "[]"
+@pytest.fixture(scope="module")
+def loaded_by_cli_import():
+    return unloaded_modules_loaded_by("import phaselab.cli")
 
 
-def test_cli_import_leaves_optimize_out():
-    # the root finders are one bisection in physics; scipy.optimize costs ~0.2 s
-    assert loaded_by_cli_import(("scipy.optimize",)) == "[]"
+@pytest.mark.parametrize("module", sorted(UNLOADED))
+def test_cli_import_leaves_module_out(loaded_by_cli_import, module):
+    assert module not in loaded_by_cli_import, UNLOADED[module]
+
+
+def test_pipeline_leaves_unloaded_modules_out(tmp_path):
+    # every kernel apply, H^-1 norm and x log x of simulate -> analyze -> equilibrium
+    cfg = str(write_cfg(tmp_path, NONLOCAL_1D.format(out=tmp_path / "run")))
+    code = ("from phaselab.cli import main\n"
+            f"rcs = [main(['simulate', {cfg!r}]), main(['analyze', {str(tmp_path / 'run')!r}]),"
+            f" main(['equilibrium', {cfg!r}])]\n"
+            "assert rcs == [0, 0, 0], rcs")
+    assert unloaded_modules_loaded_by(code) == []
+    report = json.loads((tmp_path / "run" / "report.json").read_text())
+    assert report["omega"]["nearest_eq"] is not None  # the H^-1 path ran

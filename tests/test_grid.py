@@ -19,7 +19,7 @@ from phaselab import (
     norm_l2,
     save_field,
 )
-from phaselab.grid import FaceField, weighted_laplacian_matrix
+from phaselab.grid import FaceField, fast_length, weighted_laplacian_matrix
 from phaselab.errors import GridMismatchError
 from conftest import (
     dense_kernel,
@@ -230,6 +230,40 @@ class TestHMinus1:
         n2 = norm_hminus1(Field(grid, u))
         assert n1 == pytest.approx(n2, rel=1e-10)
 
+    @pytest.mark.parametrize("shape", [(2,), (7,), (128,), (1, 6), (5, 9), (40, 40)])
+    @pytest.mark.parametrize("bc", ["neumann", "periodic"])
+    def test_matches_spectral_oracle(self, shape, bc):
+        check_against_spectral_oracle(shape, bc, 15)
+
+    @given(st.lists(st.integers(1, 40), min_size=1, max_size=2),
+           st.sampled_from(["neumann", "periodic"]), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_spectral_oracle_random_shapes(self, shape, bc, seed):
+        check_against_spectral_oracle(tuple(shape), bc, seed)
+
+
+def check_against_spectral_oracle(shape, bc, seed):
+    """norm_hminus1 equals the DCT-II (Neumann) or FFT (periodic) diagonalisation.
+
+    A stand-in grid carries the shape, so that one-cell axes are checked too.
+    """
+    from scipy import fft
+
+    spacing = tuple(0.7 / n + 0.1 * a for a, n in enumerate(shape))
+    grid = types.SimpleNamespace(shape=shape, spacing=spacing, bc=bc,
+                                 n_cells=int(np.prod(shape)),
+                                 cell_volume=float(np.prod(spacing)))
+    u = rng(seed).uniform(-1.0, 1.0, grid.n_cells)
+    b = (u - u.mean()).reshape(shape)
+    periodic = bc == "periodic"
+    coef = fft.fftn(b, norm="ortho") if periodic else fft.dctn(b, type=2, norm="ortho")
+    per_axis = [((2.0 / h) * np.sin(np.pi * np.arange(n) / (n if periodic else 2 * n))) ** 2
+                for n, h in zip(shape, spacing)]
+    lam = sum(np.meshgrid(*per_axis, indexing="ij", sparse=True))
+    lam.flat[0] = np.inf
+    expected = np.sqrt(np.sum(np.abs(coef) ** 2 / lam) * grid.cell_volume)
+    assert abs(norm_hminus1(Field(grid, u)) - expected) <= 1e-13 * expected
+
 
 class TestKernelMatrix:
     def gaussian_profile(self, scale=0.15):
@@ -294,6 +328,12 @@ class TestKernelMatrix:
         fast = K.apply_values(u)
         dense = dense_kernel(K) @ u
         assert np.max(np.abs(fast - dense)) <= 1e-10
+
+    def test_fast_length_equals_scipy_next_fast_len(self):
+        from scipy import fft
+
+        assert [fast_length(m) for m in range(1, 4097)] == [
+            fft.next_fast_len(m, real=True) for m in range(1, 4097)]
 
     @pytest.mark.parametrize("shape", [(1,), (2,), (7,), (127,), (128,), (1, 5), (5, 9),
                                        (40, 40)])

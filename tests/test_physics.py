@@ -1,5 +1,7 @@
 """Potential contracts, chemical potential, energies, dissipation."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -41,6 +43,26 @@ class TestPotential:
         P = PotentialSpec.logarithmic(2.0, 3.0)
         assert P.F(1.0) == pytest.approx(2.0 * np.log(2.0), abs=1e-12)
         assert P.F(-1.0) == pytest.approx(2.0 * np.log(2.0), abs=1e-12)
+
+    @pytest.mark.parametrize("theta", [0.3, 2.0])
+    def test_value_at_pure_phase_is_exact_and_silent(self, theta):
+        P = PotentialSpec.logarithmic(theta, theta + 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = [P.F(1.0), P.F(-1.0), *P.F(np.array([1.0, -1.0, 0.0]))]
+        assert values == [theta * np.log(2.0)] * 4 + [0.0]
+
+    def test_F_matches_xlogy_oracle(self):
+        from scipy.special import xlogy
+
+        theta = 0.3
+        P = PotentialSpec.logarithmic(theta, 1.0)
+        s = rng(21).uniform(-1.0, 1.0, 100_000)
+        a, b = xlogy(1.0 + s, 1.0 + s), xlogy(1.0 - s, 1.0 - s)
+        # the bound is relative to the two terms: near s = 0 they cancel to
+        # ~s^2, and one ulp of either logarithm is then far more than one of F
+        size = 0.5 * theta * (np.abs(a) + np.abs(b))
+        assert np.all(np.abs(P.F(s) - 0.5 * theta * (a + b)) <= 1e-15 * size)
 
     def test_first_derivative_closed_form(self):
         P = PotentialSpec.logarithmic(1.0, 2.0)

@@ -321,3 +321,11 @@ class TestSeeds:
         for seed_id, f in equilibrium_seeds(grid, k=0.1):
             assert f.mean() == pytest.approx(0.1, abs=1e-12), seed_id
             assert np.max(np.abs(f.data)) < 1.0, seed_id
+
+    def test_layers_without_room_are_skipped_with_a_reason(self):
+        grid = Grid((32,), (1.0,))
+        seeds = equilibrium_seeds(grid, k=0.85, amplitude=0.9)
+        assert [seed_id for seed_id, _ in seeds] == ["constant", "tanh_mid", "tanh_flip"]
+        for _, reason in seeds[1:]:
+            assert reason == ("k = 0.85, amplitude = 0.9: "
+                              "|k| >= 0.9 * amplitude leaves no room for a layer")
