@@ -14,6 +14,7 @@ import datetime
 import json
 import os
 import platform
+import resource
 import sys
 import time
 from pathlib import Path
@@ -63,6 +64,8 @@ def _manifest(outdir: Path, digest: str, files, assertions: dict, started: float
         "environment": ENVIRONMENT,
         "started_at": datetime.datetime.fromtimestamp(started).isoformat(),
         "finished_at": datetime.datetime.now().isoformat(),
+        # the process's peak resident set so far (ru_maxrss is in KiB on Linux)
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
         "files": sorted(str(f) for f in files),
         "assertions": assertions,
         "pass": all(assertions.values()),
@@ -160,6 +163,8 @@ def cmd_equilibrium(args) -> int:
             results.append({"seed_id": seed_id, "error": str(exc)})
             continue
         converged += 1
+        print(f"equilibrium: seed {seed_id} mu_inf={eq.mu_inf:.12g} delta={eq.delta:.6g} "
+              f"newton={eq.iterations} gmres={eq.linear_iterations}")
         snap = outdir / f"{key}.dat"
         g.save_field(snap, eq.phi_inf)
         files += [snap, _write_json(outdir / f"{key}.json", eq.sidecar())]

@@ -14,16 +14,19 @@ throttles the step).  Each trial state gets one ``physics.Evaluation``; it
 supplies the residual and the diffusion coefficient frozen for the next
 Jacobian, and in psi it takes psi as F'(phi).  A step backtracks at most
 ``MAX_BACKTRACKS`` halvings.  The bordered Jacobian is never formed densely:
-its local part (the potential diagonal, the frozen-coefficient diffusion
-stencil and the border) is a sparse matrix factored by SuperLU; a
-convolution kernel adds a part that is applied by FFT, and GMRES
-preconditioned by the local LU solves the full system.  Stationary states are
-generally non-unique; which one is found depends on the initial guess, so
-seeds are first-class inputs and get recorded with the result.
+SuperLU factors only its n x n local block (the potential diagonal and the
+frozen-coefficient diffusion stencil), and the border is eliminated by its
+Schur complement.  A convolution kernel adds a part that is applied by FFT,
+and ``gmres`` (restarted, right-preconditioned by the bordered local solve)
+solves the full system.  A singular local block fails the step even where
+the bordered matrix is regular.  Stationary states are generally non-unique;
+which one is found depends on the initial guess, so seeds are first-class
+inputs and get recorded with the result.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +35,7 @@ import scipy.sparse.linalg as spla
 
 from . import grid as g
 from . import physics as ph
+from .dynamics import SM_DENOM_FLOOR
 from .errors import NewtonDivergenceError, SeparationFailureError
 
 
@@ -44,6 +48,7 @@ class EquilibriumState:
     k: float                # prescribed mean
     seed_id: str = ""
     iterations: int = 0
+    linear_iterations: int = 0  # GMRES iterations over all Newton steps; 0 without a kernel
     model: ph.ModelConfig | None = None
 
     def sidecar(self) -> dict:
@@ -53,6 +58,7 @@ class EquilibriumState:
             "delta": self.delta,
             "k": self.k,
             "seed_id": self.seed_id,
+            "linear_iterations": self.linear_iterations,
         }
 
 
@@ -80,60 +86,122 @@ GMRES_MAXITER = 20      # restart cycles; more means the linear solve is failing
 MAX_BACKTRACKS = 60
 
 
-class _BorderedJacobian:
-    """Bordered stationary Jacobian [[diag(d) + S, -1], [r, 0]] (- kernel part).
+def gmres(matvec, precond, b, rtol=GMRES_RTOL, restart=GMRES_RESTART, maxiter=GMRES_MAXITER):
+    """Solve ``A x = b`` by restarted, right-preconditioned GMRES (Saad & Schultz 1986).
 
-    The sparse local part lives on a CSC pattern built once from ``S``; each
-    solve writes only the diagonal and the border row into ``.data``, and
-    ``set_local`` only the values of an ``S`` with the same pattern, because
-    rebuilding the pattern costs more than a 1D factorization.  Without a
-    kernel the local part is the whole Jacobian and its LU solves directly.
-    With one, the Jacobian gains ``-K (t * v)`` in its first n rows and GMRES
-    solves with that LU as preconditioner, applying K by FFT.
+    ``matvec`` applies ``A`` and ``precond`` an approximate inverse ``M^-1``.
+    Each cycle builds an Arnoldi basis of ``A M^-1`` by classical Gram-Schmidt
+    applied twice (CGS2), reduces the Hessenberg matrix by Givens rotations, and
+    stops once the rotated residual reaches ``rtol ||b||``; the true residual is
+    rechecked before each restart.  Returns ``(x, iterations, converged)``.
+    """
+    m = b.size
+    bnorm = float(np.linalg.norm(b))
+    x = np.zeros(m)
+    V = np.empty((restart + 1, m))
+    H = np.zeros((restart + 1, restart))
+    cs, sn = [0.0] * restart, [0.0] * restart   # Python floats: the rotations are scalar work
+    iterations = 0
+    r = b
+    for _ in range(maxiter):
+        beta = float(np.linalg.norm(r))
+        if beta <= rtol * bnorm:
+            return x, iterations, True
+        V[0] = r / beta
+        e = np.zeros(restart + 1)   # the rotated residual beta e_1
+        e[0] = beta
+        for j in range(restart):
+            w = matvec(precond(V[j]))
+            iterations += 1
+            h = V[:j + 1] @ w
+            w -= h @ V[:j + 1]
+            h2 = V[:j + 1] @ w
+            w -= h2 @ V[:j + 1]
+            hn = float(np.linalg.norm(w))
+            col = (h + h2).tolist()
+            for i in range(j):
+                col[i], col[i + 1] = (cs[i] * col[i] + sn[i] * col[i + 1],
+                                      cs[i] * col[i + 1] - sn[i] * col[i])
+            den = math.hypot(col[j], hn)
+            if den == 0.0:          # A M^-1 is singular on the Krylov space
+                return x, iterations, False
+            cs[j], sn[j] = col[j] / den, hn / den
+            col[j] = den
+            H[:j + 1, j] = col
+            e[j + 1], e[j] = -sn[j] * e[j], cs[j] * e[j]
+            if abs(e[j + 1]) <= rtol * bnorm or hn == 0.0:
+                break
+            V[j + 1] = w / hn
+        k = j + 1
+        x = x + precond(np.linalg.solve(H[:k, :k], e[:k]) @ V[:k])
+        r = b - matvec(x)
+    return x, iterations, bool(np.linalg.norm(r) <= rtol * bnorm)
+
+
+class _BorderedJacobian:
+    """Bordered stationary Jacobian [[B - K diag(t), -1], [r, 0]], B = diag(d) + S.
+
+    SuperLU factors only the n x n local block ``B``; the border is eliminated
+    by its Schur complement (Keller's bordering algorithm): with ``B^-1 1`` and
+    ``sigma = r . B^-1 1`` computed once per factorization,
+    ``s = (c - r . B^-1 b) / sigma`` and ``x = B^-1 b + s B^-1 1``.  ``B``
+    lives on a CSC pattern built once from ``S``; each solve writes only its
+    diagonal into ``.data``, and ``set_local`` only the values of an ``S``
+    with the same pattern, because rebuilding the pattern costs more than a 1D
+    factorization.  Without a kernel the Schur solve is the Newton step.  With
+    one, ``gmres`` solves the full system with the Schur solve as
+    preconditioner, applying ``K`` by FFT.  A singular ``B`` (or a ``sigma``
+    lost to cancellation) fails the solve with ``NewtonDivergenceError`` even
+    where the bordered matrix itself is regular.
     """
 
     def __init__(self, S: sp.spmatrix):
-        n = S.shape[0]
-        A = sp.bmat([[S, np.full((n, 1), -1.0)], [np.ones((1, n)), None]], format="csc")
-        A.sort_indices()
-        col = np.repeat(np.arange(n + 1), np.diff(A.indptr))
-        border = A.indices == n
-        self._diag = np.flatnonzero(A.indices == col)
-        self._border = np.flatnonzero(border)
-        self._local = np.flatnonzero(~border & (col < n))     # S's entries in CSC order
-        self._base = A.data[self._diag].copy()
-        self.A = A
+        B = S.tocsc(copy=True)
+        col = np.repeat(np.arange(B.shape[0]), np.diff(B.indptr))
+        self._diag = np.flatnonzero(B.indices == col)
+        self._base = B.data[self._diag].copy()
+        self.B = B
 
     def set_local(self, S: sp.spmatrix):
-        self.A.data[self._local] = S.tocsc().data
-        self._base = self.A.data[self._diag].copy()
+        self.B.data[:] = S.tocsc().data
+        self._base = self.B.data[self._diag].copy()
 
-    def solve(self, d, r, rhs, K, t, iters: int, rnorm: float) -> np.ndarray:
-        A = self.A
-        n = A.shape[0] - 1
-        A.data[self._diag] = self._base + d
-        A.data[self._border] = r
+    def solve(self, d, r, rhs, K, t, iters: int, rnorm: float):
+        """The Newton step for right-hand side ``rhs`` and its GMRES iteration count."""
+        B = self.B
+        n = B.shape[0]
+        B.data[self._diag] = self._base + d
         try:
-            lu = spla.splu(A, **g.SPLU_ORDERING)
+            lu = spla.splu(B, **g.SPLU_ORDERING)
         except RuntimeError as exc:
             raise NewtonDivergenceError("singular stationary Jacobian",
                                         iterations=iters, residual=rnorm) from exc
+        u = lu.solve(np.ones(n))
+        terms = r * u
+        sigma = float(np.sum(terms))
+        if not (np.isfinite(sigma) and abs(sigma) > SM_DENOM_FLOOR * float(np.sum(np.abs(terms)))):
+            raise NewtonDivergenceError(
+                f"Schur border denominator r.B^-1 1 = {sigma!r} is not resolvable",
+                iterations=iters, residual=rnorm,
+            )
+
+        def schur(v):
+            y = lu.solve(v[:n])
+            s = (v[n] - float(np.sum(r * y))) / sigma
+            return np.concatenate((y + s * u, [s]))
+
         if K is None:
-            return lu.solve(rhs)
+            return schur(rhs), 0
 
         def matvec(v):
-            out = A @ v
-            out[:n] -= K.apply_values(t * v[:n])
-            return out
+            x = v[:n]
+            return np.concatenate((B @ x - v[n] - K.apply_values(t * x), [np.sum(r * x)]))
 
-        op = spla.LinearOperator(A.shape, matvec=matvec)
-        pre = spla.LinearOperator(A.shape, matvec=lu.solve)
-        x, info = spla.gmres(op, rhs, rtol=GMRES_RTOL, atol=0.0, restart=GMRES_RESTART,
-                             maxiter=GMRES_MAXITER, M=pre)
-        if info != 0:
+        x, its, ok = gmres(matvec, schur, rhs, GMRES_RTOL, GMRES_RESTART, GMRES_MAXITER)
+        if not ok:
             raise NewtonDivergenceError("stationary GMRES did not converge",
                                         iterations=iters, residual=rnorm)
-        return x
+        return x, its
 
 
 def solve_equilibrium(M: ph.ModelConfig, k: float, guess: g.Field,
@@ -171,6 +239,7 @@ def solve_equilibrium(M: ph.ModelConfig, k: float, guess: g.Field,
     ev = evaluate(z)
     mu_c = float(ev.mu.mean())
     res, rnorm = residual(ev, mu_c)
+    linear = 0
     for iters in range(1, max_iter + 1):
         if rnorm <= tol and abs(res[n]) <= 1e-12:
             break
@@ -188,7 +257,8 @@ def solve_equilibrium(M: ph.ModelConfig, k: float, guess: g.Field,
         # local part's identity stands for the potential diagonal F'' t = 1
         t = 1.0 / d2 if entropy else 1.0
         d = shift * t if entropy else d2 + shift
-        step = jac.solve(d, t / n, -res, K, t, iters, rnorm)
+        step, its = jac.solve(d, t / n, -res, K, t, iters, rnorm)
+        linear += its
         lam = 1.0
         for _ in range(MAX_BACKTRACKS):
             z_n, mu_n = z + lam * step[:n], mu_c + lam * step[n]
@@ -216,7 +286,8 @@ def solve_equilibrium(M: ph.ModelConfig, k: float, guess: g.Field,
         )
     res_l2 = float(np.linalg.norm(res[:n])) * np.sqrt(grid.cell_volume)
     return EquilibriumState(phi_inf, mu_c, res_l2, delta, k,
-                            seed_id=seed_id, iterations=iters, model=M)
+                            seed_id=seed_id, iterations=iters, linear_iterations=linear,
+                            model=M)
 
 
 def separation_bound(e: EquilibriumState, full: bool = False):

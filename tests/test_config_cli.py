@@ -304,18 +304,21 @@ class TestCLI:
             assert (tmp_path / "root" / "sw" / f"initial.mean={val}" / "manifest.json").exists()
         assert not (tmp_path / "root" / "root").exists()
 
-    def test_equilibrium_command(self, tmp_path):
+    def test_equilibrium_command(self, tmp_path, capsys):
         out = tmp_path / "eq"
         cfg_path = write_cfg(tmp_path, MINIMAL_AC.format(out=out))
         rc = main(["equilibrium", str(cfg_path)])
         assert rc == 0
+        assert "equilibrium: seed constant mu_inf=" in capsys.readouterr().out
         results = json.loads((out / "equilibria.json").read_text())
         assert len(results) >= 2
         for r in results:
             assert r["delta"] > 0
             assert r["residual"] <= 1e-10
         sidecar = json.loads((out / "eq_constant.json").read_text())
-        assert set(sidecar) == {"mu_inf", "residual", "delta", "k", "seed_id"}
+        assert set(sidecar) == {"mu_inf", "residual", "delta", "k", "seed_id",
+                                "linear_iterations"}
+        assert sidecar["linear_iterations"] == 0  # no kernel, no GMRES
 
     def test_equilibrium_reports_skipped_seeds(self, tmp_path, capsys):
         # at mean 0.85 neither tanh layer fits inside (-1, 1)
@@ -416,6 +419,19 @@ class TestRunRecord:
         monkeypatch.setattr(cli, "parse_config", lambda p: calls.append(p) or real(p))
         assert main(["analyze", str(out)]) == 0
         assert calls == [out / "config.ini"]
+
+    def test_manifest_stamps_peak_rss(self, tmp_path):
+        out = tmp_path / "run"
+        text = MINIMAL_AC.format(out=out).replace("t_max = 2.0", "t_max = 0.05")
+        assert main(["simulate", str(write_cfg(tmp_path, text))]) == 0
+        path = out / "manifest.json"
+        manifest = json.loads(path.read_text())
+        assert manifest["peak_rss_mb"] > 0
+        # a run directory written without the key is still analyzed
+        del manifest["peak_rss_mb"]
+        path.write_text(json.dumps(manifest))
+        assert main(["analyze", str(out)]) == 0
+        assert json.loads(path.read_text())["peak_rss_mb"] > 0
 
     def test_sweep_directory_matches_simulate_directory(self, tmp_path):
         text = MINIMAL_AC.format(out=tmp_path / "sim").replace("t_max = 2.0", "t_max = 0.05")

@@ -1,9 +1,11 @@
 """Stationary solves: constant branches, interface layers, separation checks."""
 
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from phaselab import (
     DiffusionSpec,
@@ -49,6 +51,12 @@ def tanh_seed(grid, width=0.01, amplitude=0.99):
     prof = amplitude * np.tanh((x - 0.5) / width)
     prof -= prof.mean()
     return Field(grid, prof)
+
+
+def cosine_seed(grid, k, amplitude=0.05):
+    """k plus one cosine period along the first axis, at mean exactly k."""
+    prof = k + amplitude * np.cos(2 * np.pi * grid.cell_centers()[0])
+    return Field(grid, prof + (k - prof.mean()))
 
 
 class TestResidual:
@@ -202,6 +210,19 @@ def _oracle_cases():
                                     nonlocal_consistency=False)
     general = ModelConfig(1, 0, 1e-2, 1, 1, P, mob, dif,
                           kernel=KernelSpec("gaussian", scale=0.1))
+    # gamma = 0 with the concave term: the psi iteration's local block
+    # 1 - theta0/F''(phi) changes sign across the spinodal.  From layer seeds the
+    # oracle's F'(phi) leaves the guard band at saturated trial states, so
+    # these start from a small cosine
+    entropy = {}
+    for sigma2 in (1, 0):
+        M = ModelConfig(1, 0, 0, 1, sigma2, P, mob, dif,
+                        kernel=KernelSpec("gaussian", scale=0.1) if sigma2 else None)
+        for grid in (g64, Grid((24, 24), (1.0, 1.0))):
+            for k in (0.1, 0.5):
+                name = "x".join(map(str, grid.shape))
+                entropy[f"general_psi_{'kernel' if sigma2 else 'local'}_{name}_k{k}"] = (
+                    M, k, cosine_seed(grid, k))
     return {
         "ch_varying_diffusion": (deep_quench_ch(), 0.0,
                                  tanh_seed(g64, width=0.02)),
@@ -216,6 +237,7 @@ def _oracle_cases():
         "nl_literal": (nl_off, 0.0, tanh_seed(g128, width=0.08, amplitude=0.8)),
         "general_kernel": (general, 0.0,
                            dict(equilibrium_seeds(g64, 0.0, potential=P))["tanh_mid"]),
+        **entropy,
     }
 
 
@@ -251,6 +273,55 @@ class TestAgainstDenseOracle:
         with pytest.raises(NewtonDivergenceError, match="GMRES"):
             solve_equilibrium(M, k, guess, tol=1e-12)
 
+    @pytest.mark.parametrize("case", ["ch_varying_diffusion", "ac", "nl_consistent",
+                                      "nl_literal", "general_kernel"])
+    def test_only_the_local_block_is_factored(self, case, monkeypatch):
+        M, k, guess = _oracle_cases()[case]
+        shapes = []
+        splu = stationary.spla.splu
+
+        def spy(A, **kw):
+            shapes.append(A.shape)
+            return splu(A, **kw)
+
+        monkeypatch.setattr(stationary, "spla", types.SimpleNamespace(splu=spy))
+        solve_equilibrium(M, k, guess, tol=1e-12)
+        n = guess.grid.n_cells
+        assert shapes and set(shapes) == {(n, n)}
+
+    @pytest.mark.parametrize("breakdown", ["nan", "zero"])
+    def test_unresolvable_border_is_typed(self, monkeypatch, breakdown):
+        M, k, guess = _oracle_cases()["ac"]
+        # a stub B^-1 = diag(+-1) alternating over the 64 cells puts r.B^-1 1 at
+        # zero; B^-1 = NaN makes it NaN
+        sign = np.nan if breakdown == "nan" else np.resize([1.0, -1.0], guess.grid.n_cells)
+        stub = types.SimpleNamespace(solve=lambda b: sign * b)
+        monkeypatch.setattr(stationary, "spla", types.SimpleNamespace(splu=lambda A, **kw: stub))
+        with pytest.raises(NewtonDivergenceError, match="Schur border") as exc:
+            solve_equilibrium(M, k, guess, tol=1e-12)
+        assert exc.value.iterations == 1
+        assert np.isfinite(exc.value.residual) and exc.value.residual > 0
+
+    def test_singular_local_block_is_typed(self):
+        # B = diag(0, 1, ..., 1) is singular although the bordered matrix is not:
+        # the one case the block factorization gives up where a bordered LU would not
+        n = 8
+        jac = stationary._BorderedJacobian(sp.identity(n, format="csc"))
+        d = np.zeros(n)
+        d[0] = -1.0
+        bordered = np.block([[np.diag(1.0 + d), -np.ones((n, 1))],
+                             [np.full((1, n), 1.0 / n), np.zeros((1, 1))]])
+        assert np.linalg.matrix_rank(bordered) == n + 1
+        with pytest.raises(NewtonDivergenceError, match="singular stationary Jacobian") as exc:
+            jac.solve(d, 1.0 / n, np.ones(n + 1), None, 1.0, 3, 0.5)
+        assert (exc.value.iterations, exc.value.residual) == (3, 0.5)
+
+    def test_linear_iterations_are_counted(self):
+        nl = solve_equilibrium(*_oracle_cases()["nl_consistent"], tol=1e-12)
+        ch = solve_equilibrium(*_oracle_cases()["ch_varying_diffusion"], tol=1e-12)
+        assert nl.linear_iterations > 0 and ch.linear_iterations == 0
+        assert nl.sidecar()["linear_iterations"] == nl.linear_iterations
+
     def test_nonlocal_96x96_bounded_memory(self):
         # the dense bordered Jacobian alone would take (96^2 + 1)^2 * 8 B = 680 MB
         P = log_potential()
@@ -266,6 +337,28 @@ class TestAgainstDenseOracle:
             tracemalloc.stop()
         assert eq.residual_l2 <= 1e-10
         assert peak < 64 * 2**20, peak
+
+
+class TestGmres:
+    def test_jacobi_preconditioned_random_system(self):
+        rng = np.random.default_rng(60)
+        n = 60
+        A = np.diag(rng.uniform(1.0, 10.0, n)) + rng.standard_normal((n, n)) / np.sqrt(n)
+        b = rng.standard_normal(n)
+        # one cycle, and cycles of 5 that rely on the true residual at each restart
+        for restart in (stationary.GMRES_RESTART, 5):
+            x, its, ok = stationary.gmres(lambda v: A @ v, lambda v: v / np.diag(A), b,
+                                          restart=restart, maxiter=n)
+            assert ok and 0 < its < n
+            assert np.linalg.norm(b - A @ x) <= stationary.GMRES_RTOL * np.linalg.norm(b)
+
+    def test_exact_preconditioner_takes_one_iteration(self):
+        rng = np.random.default_rng(61)
+        A = np.eye(60) + 0.3 * rng.standard_normal((60, 60))
+        b = rng.standard_normal(60)
+        x, its, ok = stationary.gmres(lambda v: A @ v, lambda v: np.linalg.solve(A, v), b)
+        assert ok and its == 1
+        assert np.linalg.norm(b - A @ x) <= stationary.GMRES_RTOL * np.linalg.norm(b)
 
 
 class TestSeparation:
