@@ -26,7 +26,7 @@ from . import __version__
 from . import analysis as an
 from . import grid as g
 from . import stationary as st
-from .config import _SCHEMA, ExperimentConfig, parse_config
+from .config import ExperimentConfig, convert_value, parse_config
 from .dynamics import Trajectory, model_provenance, run
 from .errors import (
     DegenerateWindowError,
@@ -352,8 +352,7 @@ def cmd_sweep(args) -> int:
     payloads = []
     for val in values.split(","):
         variant = ExperimentConfig.from_string(cfg.canonical())
-        conv, _ = _SCHEMA[section][name]
-        variant.values[section][name] = conv(val)
+        variant.values[section][name] = convert_value(section, name, val)
         # unresolved, like the base dir: the worker resolves it once
         variant.values["output"]["dir"] = str(Path(cfg.output_dir) / f"{section}.{name}={val}")
         variant.validate()

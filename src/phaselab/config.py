@@ -114,6 +114,16 @@ _SCHEMA = {
     },
 }
 
+
+def convert_value(section: str, key: str, raw: str):
+    """The value of ``key = raw`` in ``[section]``; an empty ``raw`` leaves it unset (None)."""
+    conv, _ = _SCHEMA[section][key]
+    try:
+        return conv(raw) if raw != "" else None
+    except (ValueError, ValidationError) as exc:
+        raise ValidationError(f"[{section}] {key} = {raw!r}: {exc}") from exc
+
+
 _PRESET_BUILDERS = {"CH_NONLINEAR", "CONSERVED_AC", "NONLOCAL_CH"}
 
 
@@ -140,17 +150,11 @@ class ExperimentConfig:
             for key, raw in parser[section].items():
                 if key not in _SCHEMA[section]:
                     raise ParseError(f"unknown key {key!r} in section [{section}]")
-                conv, _ = _SCHEMA[section][key]
-                try:
-                    values[section][key] = conv(raw) if raw != "" else None
-                except (ValueError, ValidationError) as exc:
-                    raise ValidationError(
-                        f"[{section}] {key} = {raw!r}: {exc}") from exc
+                values[section][key] = convert_value(section, key, raw)
         for section, keys in _SCHEMA.items():
             values.setdefault(section, {})
-            for key, (conv, default) in keys.items():
-                if key not in values[section]:
-                    values[section][key] = conv(default) if default else None
+            for key, (_, default) in keys.items():
+                values[section].setdefault(key, convert_value(section, key, default))
         cfg = cls(values)
         cfg.validate()
         return cfg

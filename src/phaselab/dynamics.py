@@ -13,11 +13,11 @@ implicit map monotone, so damped Newton with pointwise clamping inside
 phases.
 
 The Newton Jacobian is lagged (a chord iteration): a run keeps its last
-sparse LU, with the Sherman-Morrison correction of the mean term, across
-Newton iterations, rejected retries and accepted steps.  It refactors at the
-current iterate only when there is no LU yet, when dt has left
-[dt_f / 2, 2 dt_f] (dt_f being the dt of the last factorization), or when the
-previous step backtracked or shrank the residual less than 4-fold.  A lagged
+sparse LU, with the mean term as its border, across Newton iterations,
+rejected retries and accepted steps.  It refactors at the current iterate
+only when there is no LU yet, when dt has left [dt_f / 2, 2 dt_f] (dt_f
+being the dt of the last factorization), or when the previous step
+backtracked or shrank the residual less than 4-fold.  A lagged
 iterate stops only after a polish pass with a fresh LU, or at a residual of
 0.01 * newton_tol that also resolves the step's increment to CHORD_RTOL or
 sits at the roundoff floor, and never before one pass: a commit without an
@@ -55,6 +55,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import grid as g
+from . import linalg
 from . import physics as ph
 from .errors import (
     BoundsViolationError,
@@ -220,8 +221,6 @@ MIN_CONTRACTION = 4.0
 # A chord iterate also resolves the step's increment (~ its initial residual) to this accuracy,
 # since near steady state the fourth-order operator amplifies commit noise past steady_tol.
 CHORD_RTOL = 1e-8
-# Below this relative size the Sherman-Morrison denominator is cancellation noise.
-SM_DENOM_FLOOR = 1e-12
 # Step-size control: after GROW_EVERY clean steps dt grows by GROW_FACTOR (up to dt_max).
 GROW_FACTOR = 1.2
 GROW_EVERY = 5
@@ -237,8 +236,7 @@ class _StepWorkspace:
     chemical potential.  ``mu_of`` and ``rhs_of`` apply ``L_a`` and ``L_m``
     matrix-free as ``-div(w * diff(x))``, and ``mu_of`` reads F' unchecked;
     the sparse matrices are assembled only in ``jacobian_solver``.  The LU
-    (with its Sherman-Morrison correction) outlives both Newton iterations
-    and steps: ``step`` refactors only when the lagged one stops paying.
+    outlives Newton iterations and steps: ``step`` refactors only when it stops paying.
     """
 
     def __init__(self, M: ph.ModelConfig, phi_field: g.Field,
@@ -291,10 +289,8 @@ class _StepWorkspace:
         The sparse part is A = I + dt (beta I - alpha L_m)(diag c - gamma L_a)
         with c = F''(x) (+ w), its diagonal terms added onto the diagonals of
         L_a and L_m, which are assembled here (at the frozen coefficients) and
-        nowhere else.  The mean subtraction adds -u v^T, u = dt beta / n, v = c
-        (L_a has zero column sums), which Sherman-Morrison folds into the solve.
-        A's sparsity pattern is symmetric, so SuperLU factors it with
-        ``grid.SPLU_ORDERING``, a minimum-degree ordering of A^T + A.
+        nowhere else.  The mean subtraction adds -dt beta / n 1 c^T (L_a has
+        zero column sums): the border col = -dt beta / n 1, row = c, corner = -1.
         """
         M = self.M
         c = self.P.d2F_checked(x)
@@ -313,23 +309,11 @@ class _StepWorkspace:
             A = drhs @ A
             A.data *= dt
         A.setdiag(A.diagonal() + 1.0)
-        lu = spla.splu(A.tocsc(), **g.SPLU_ORDERING)
-        if M.beta <= 0:
-            solve = lu.solve
-        else:
-            Ainv_u = lu.solve(np.full(self.n, dt * M.beta / self.n))
-            vAu = float(c @ Ainv_u)
-            denom = 1.0 - vAu
-            if not (np.isfinite(denom) and abs(denom) > SM_DENOM_FLOOR * (1.0 + abs(vAu))):
-                raise NewtonDivergenceError(
-                    f"Sherman-Morrison denominator {denom!r} (v.A^-1 u = {vAu!r}) "
-                    f"is not resolvable at dt={dt!r}",
-                )
-
-            def solve(b):
-                y = lu.solve(b)
-                return y + Ainv_u * (float(c @ y) / denom)
-
+        lu = spla.splu(A.tocsc(), **linalg.SPLU_ORDERING)
+        solve = lu.solve
+        if M.beta > 0:
+            border = linalg.bordered_solver(lu, np.full(self.n, -dt * M.beta / self.n), c, -1.0)
+            solve = lambda b: border(b)[0]
         self.solve = solve
         self.dt_f = dt
         self.factorizations += 1

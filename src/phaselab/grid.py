@@ -25,7 +25,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import GridMismatchError
+from .errors import GridMismatchError, ParseError
 
 NEUMANN = "neumann"
 PERIODIC = "periodic"
@@ -207,14 +207,9 @@ class FaceOperator:
         """Face gradient of flat cell values."""
         return self.inv_h * self.diff(u)
 
-    def average(self, c: np.ndarray, mode: str = "arithmetic") -> np.ndarray:
-        """Arithmetic or harmonic mean of cell values at each face."""
-        cl, ch = c[self.lo], c[self.hi]
-        if mode == "arithmetic":
-            return 0.5 * (cl + ch)
-        if mode == "harmonic":
-            return 2.0 * cl * ch / (cl + ch)
-        raise ValueError(f"unknown face averaging mode {mode!r}")
+    def average(self, c: np.ndarray) -> np.ndarray:
+        """Arithmetic mean of cell values at each face."""
+        return 0.5 * (c[self.lo] + c[self.hi])
 
     def cell_sq(self, face_values: np.ndarray) -> np.ndarray:
         """Per cell: the mean of the squares at its two faces along each axis,
@@ -259,11 +254,6 @@ def weighted_laplacian_matrix(grid: Grid, face_weights: FaceField | np.ndarray |
     scaled = sp.csr_matrix((G.data * np.repeat(-w * ops.inv_h2, 2), G.indices, G.indptr),
                            shape=G.shape)
     return ops.GT @ scaled
-
-
-# SuperLU settings of every sparse LU: the operators' sparsity patterns are
-# symmetric, so a minimum-degree ordering of A^T + A fills less than COLAMD.
-SPLU_ORDERING = {"permc_spec": "MMD_AT_PLUS_A", "options": {"SymmetricMode": True}}
 
 
 def norm_hminus1(u: Field) -> float:
@@ -399,22 +389,24 @@ def load_field(path) -> Field:
     """Read a snapshot written by save_field (whitespace or CSV body).
 
     Headers without lengths (``nx [ny] hx [hy] bc``) are read too; their
-    lengths are rebuilt as ``n * h``.
+    lengths are rebuilt as ``n * h``.  A file that is not such a snapshot
+    raises ``ParseError`` naming it.
     """
     with open(path) as fh:
         header = fh.readline().split()
         body = fh.read()
-    dim = _HEADER_DIMS.get(len(header))
-    if dim is None:
-        raise ValueError(f"malformed snapshot header: {' '.join(header)!r}")
-    shape = tuple(int(tok) for tok in header[:dim])
-    spacing = tuple(float(tok) for tok in header[dim:2 * dim])
-    bc = header[2 * dim]
-    lengths = tuple(float(tok) for tok in header[2 * dim + 1:])
-    if not lengths:
-        lengths = tuple(n * h for n, h in zip(shape, spacing))
-    elif any(abs(l / n - h) > 1e-12 * h for l, n, h in zip(lengths, shape, spacing)):
-        raise ValueError(f"snapshot header lengths disagree with its spacing: {' '.join(header)!r}")
-    grid = Grid(shape, lengths, bc)
-    values = np.fromiter(map(float, body.replace(",", " ").split()), float)
-    return Field(grid, values)
+    try:
+        dim = _HEADER_DIMS.get(len(header))
+        if dim is None:
+            raise ValueError(f"malformed snapshot header {' '.join(header)!r}")
+        shape = tuple(int(tok) for tok in header[:dim])
+        spacing = tuple(float(tok) for tok in header[dim:2 * dim])
+        lengths = tuple(float(tok) for tok in header[2 * dim + 1:])
+        if not lengths:
+            lengths = tuple(n * h for n, h in zip(shape, spacing))
+        elif any(abs(l - n * h) > 1e-12 * n * h for l, n, h in zip(lengths, shape, spacing)):
+            raise ValueError(f"header lengths disagree with its spacing: {' '.join(header)!r}")
+        values = np.fromiter(map(float, body.replace(",", " ").split()), float)
+        return Field(Grid(shape, lengths, header[2 * dim]), values)
+    except (ValueError, GridMismatchError) as exc:
+        raise ParseError(f"snapshot {path}: {exc}") from exc

@@ -1,0 +1,89 @@
+"""Sparse linear algebra of both Newton solvers: the SuperLU setting, the
+elimination of a one-row, one-column border around an LU, and GMRES.
+"""
+
+import math
+
+import numpy as np
+
+from .errors import NewtonDivergenceError
+
+# SuperLU settings of every sparse LU: the operators' sparsity patterns are
+# symmetric, so a minimum-degree ordering of A^T + A fills less than COLAMD.
+SPLU_ORDERING = {"permc_spec": "MMD_AT_PLUS_A", "options": {"SymmetricMode": True}}
+
+DENOM_FLOOR = 1e-12  # below this size relative to its terms a Schur complement is noise
+
+
+def bordered_solver(lu, col, row, corner):
+    """Solver of ``[[A, col], [row, corner]] [x; s] = [b; c]`` for ``lu``, an LU of ``A``.
+
+    Keller's bordering algorithm (1977): ``u = A^-1 col`` and the Schur
+    complement ``sigma = corner - row . u`` once, then per solve
+    ``s = (c - row . A^-1 b) / sigma`` and ``x = A^-1 b - s u``.  A ``sigma``
+    that is not finite or lost to cancellation raises ``NewtonDivergenceError``.
+    A scalar ``row`` stands for a constant row.  ``solve(b, c=0.0)`` returns ``(x, s)``.
+    """
+    u = lu.solve(col)
+    terms = row * u
+    ru = float(np.sum(terms))
+    sigma = corner - ru
+    if not (np.isfinite(sigma)
+            and abs(sigma) > DENOM_FLOOR * (abs(corner) + float(np.sum(np.abs(terms))))):
+        raise NewtonDivergenceError(f"Schur complement {sigma!r} of the border "
+                                    f"(row . A^-1 col = {ru!r}) is not resolvable")
+
+    def solve(b, c=0.0):
+        y = lu.solve(b)
+        s = (c - float(np.sum(row * y))) / sigma
+        return y - s * u, s
+
+    return solve
+
+
+def gmres(matvec, precond, b, rtol, restart, maxiter):
+    """Solve ``A x = b`` by restarted GMRES (Saad & Schultz 1986), right-preconditioned
+    by ``precond`` ~ ``A^-1``: CGS2 Arnoldi, Givens rotations, and the true residual
+    rechecked at each restart against ``rtol ||b||``.  Returns ``(x, iterations, converged)``.
+    """
+    m = b.size
+    bnorm = float(np.linalg.norm(b))
+    x = np.zeros(m)
+    V = np.empty((restart + 1, m))
+    H = np.zeros((restart + 1, restart))
+    cs, sn = [0.0] * restart, [0.0] * restart   # Python floats: the rotations are scalar work
+    iterations = 0
+    r = b
+    for _ in range(maxiter):
+        beta = float(np.linalg.norm(r))
+        if beta <= rtol * bnorm:
+            return x, iterations, True
+        V[0] = r / beta
+        e = np.zeros(restart + 1)   # the rotated residual beta e_1
+        e[0] = beta
+        for j in range(restart):
+            w = matvec(precond(V[j]))
+            iterations += 1
+            h = V[:j + 1] @ w
+            w -= h @ V[:j + 1]
+            h2 = V[:j + 1] @ w
+            w -= h2 @ V[:j + 1]
+            hn = float(np.linalg.norm(w))
+            col = (h + h2).tolist()
+            for i in range(j):
+                col[i], col[i + 1] = (cs[i] * col[i] + sn[i] * col[i + 1],
+                                      cs[i] * col[i + 1] - sn[i] * col[i])
+            den = math.hypot(col[j], hn)
+            if den == 0.0:          # A M^-1 is singular on the Krylov space
+                return x, iterations, False
+            cs[j], sn[j] = col[j] / den, hn / den
+            col[j] = den
+            H[:j + 1, j] = col
+            e[j + 1], e[j] = -sn[j] * e[j], cs[j] * e[j]
+            if abs(e[j + 1]) <= rtol * bnorm or hn == 0.0:
+                break
+            V[j + 1] = w / hn
+        k = j + 1
+        x = x + precond(np.linalg.solve(H[:k, :k], e[:k]) @ V[:k])
+        r = b - matvec(x)
+    return x, iterations, bool(np.linalg.norm(r) <= rtol * bnorm)

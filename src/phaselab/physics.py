@@ -345,7 +345,6 @@ class ModelConfig:
     kernel: KernelSpec | None = None
     nonlocal_consistency: bool = True
     preset: str | None = None
-    face_mode: str = "arithmetic"
 
     def __post_init__(self):
         if min(self.alpha, self.beta, self.gamma) < 0:
@@ -420,7 +419,7 @@ class Evaluation:
     def _faces(self, spec) -> np.ndarray | float:
         if spec.is_constant:
             return spec.constant_value
-        return self.ops.average(np.asarray(spec(self.phi)), self.M.face_mode)
+        return self.ops.average(np.asarray(spec(self.phi)))
 
     @cached_property
     def a_face(self) -> np.ndarray | float:

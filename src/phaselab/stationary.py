@@ -15,18 +15,16 @@ supplies the residual and the diffusion coefficient frozen for the next
 Jacobian, and in psi it takes psi as F'(phi).  A step backtracks at most
 ``MAX_BACKTRACKS`` halvings.  The bordered Jacobian is never formed densely:
 SuperLU factors only its n x n local block (the potential diagonal and the
-frozen-coefficient diffusion stencil), and the border is eliminated by its
-Schur complement.  A convolution kernel adds a part that is applied by FFT,
-and ``gmres`` (restarted, right-preconditioned by the bordered local solve)
-solves the full system.  A singular local block fails the step even where
-the bordered matrix is regular.  Stationary states are generally non-unique;
+frozen-coefficient diffusion stencil), ``linalg.bordered_solver`` eliminates
+the border, and a kernel part, applied by FFT, leaves the full system to
+``linalg.gmres``.  A singular local block fails the step even where the
+bordered matrix is regular.  Stationary states are generally non-unique;
 which one is found depends on the initial guess, so seeds are first-class
 inputs and get recorded with the result.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,8 +32,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import grid as g
+from . import linalg
 from . import physics as ph
-from .dynamics import SM_DENOM_FLOOR
 from .errors import NewtonDivergenceError, SeparationFailureError
 
 
@@ -86,73 +84,13 @@ GMRES_MAXITER = 20      # restart cycles; more means the linear solve is failing
 MAX_BACKTRACKS = 60
 
 
-def gmres(matvec, precond, b, rtol=GMRES_RTOL, restart=GMRES_RESTART, maxiter=GMRES_MAXITER):
-    """Solve ``A x = b`` by restarted, right-preconditioned GMRES (Saad & Schultz 1986).
-
-    ``matvec`` applies ``A`` and ``precond`` an approximate inverse ``M^-1``.
-    Each cycle builds an Arnoldi basis of ``A M^-1`` by classical Gram-Schmidt
-    applied twice (CGS2), reduces the Hessenberg matrix by Givens rotations, and
-    stops once the rotated residual reaches ``rtol ||b||``; the true residual is
-    rechecked before each restart.  Returns ``(x, iterations, converged)``.
-    """
-    m = b.size
-    bnorm = float(np.linalg.norm(b))
-    x = np.zeros(m)
-    V = np.empty((restart + 1, m))
-    H = np.zeros((restart + 1, restart))
-    cs, sn = [0.0] * restart, [0.0] * restart   # Python floats: the rotations are scalar work
-    iterations = 0
-    r = b
-    for _ in range(maxiter):
-        beta = float(np.linalg.norm(r))
-        if beta <= rtol * bnorm:
-            return x, iterations, True
-        V[0] = r / beta
-        e = np.zeros(restart + 1)   # the rotated residual beta e_1
-        e[0] = beta
-        for j in range(restart):
-            w = matvec(precond(V[j]))
-            iterations += 1
-            h = V[:j + 1] @ w
-            w -= h @ V[:j + 1]
-            h2 = V[:j + 1] @ w
-            w -= h2 @ V[:j + 1]
-            hn = float(np.linalg.norm(w))
-            col = (h + h2).tolist()
-            for i in range(j):
-                col[i], col[i + 1] = (cs[i] * col[i] + sn[i] * col[i + 1],
-                                      cs[i] * col[i + 1] - sn[i] * col[i])
-            den = math.hypot(col[j], hn)
-            if den == 0.0:          # A M^-1 is singular on the Krylov space
-                return x, iterations, False
-            cs[j], sn[j] = col[j] / den, hn / den
-            col[j] = den
-            H[:j + 1, j] = col
-            e[j + 1], e[j] = -sn[j] * e[j], cs[j] * e[j]
-            if abs(e[j + 1]) <= rtol * bnorm or hn == 0.0:
-                break
-            V[j + 1] = w / hn
-        k = j + 1
-        x = x + precond(np.linalg.solve(H[:k, :k], e[:k]) @ V[:k])
-        r = b - matvec(x)
-    return x, iterations, bool(np.linalg.norm(r) <= rtol * bnorm)
-
-
 class _BorderedJacobian:
     """Bordered stationary Jacobian [[B - K diag(t), -1], [r, 0]], B = diag(d) + S.
 
-    SuperLU factors only the n x n local block ``B``; the border is eliminated
-    by its Schur complement (Keller's bordering algorithm): with ``B^-1 1`` and
-    ``sigma = r . B^-1 1`` computed once per factorization,
-    ``s = (c - r . B^-1 b) / sigma`` and ``x = B^-1 b + s B^-1 1``.  ``B``
-    lives on a CSC pattern built once from ``S``; each solve writes only its
-    diagonal into ``.data``, and ``set_local`` only the values of an ``S``
-    with the same pattern, because rebuilding the pattern costs more than a 1D
-    factorization.  Without a kernel the Schur solve is the Newton step.  With
-    one, ``gmres`` solves the full system with the Schur solve as
-    preconditioner, applying ``K`` by FFT.  A singular ``B`` (or a ``sigma``
-    lost to cancellation) fails the solve with ``NewtonDivergenceError`` even
-    where the bordered matrix itself is regular.
+    ``B`` lives on a CSC pattern built once from ``S``; each solve writes only
+    its diagonal into ``.data``, and ``set_local`` only the values of an ``S``
+    with the same pattern, because rebuilding the pattern costs more than a
+    1D factorization.
     """
 
     def __init__(self, S: sp.spmatrix):
@@ -166,41 +104,31 @@ class _BorderedJacobian:
         self.B.data[:] = S.tocsc().data
         self._base = self.B.data[self._diag].copy()
 
-    def solve(self, d, r, rhs, K, t, iters: int, rnorm: float):
+    def solve(self, d, r, rhs, K, t):
         """The Newton step for right-hand side ``rhs`` and its GMRES iteration count."""
         B = self.B
         n = B.shape[0]
         B.data[self._diag] = self._base + d
         try:
-            lu = spla.splu(B, **g.SPLU_ORDERING)
+            lu = spla.splu(B, **linalg.SPLU_ORDERING)
         except RuntimeError as exc:
-            raise NewtonDivergenceError("singular stationary Jacobian",
-                                        iterations=iters, residual=rnorm) from exc
-        u = lu.solve(np.ones(n))
-        terms = r * u
-        sigma = float(np.sum(terms))
-        if not (np.isfinite(sigma) and abs(sigma) > SM_DENOM_FLOOR * float(np.sum(np.abs(terms)))):
-            raise NewtonDivergenceError(
-                f"Schur border denominator r.B^-1 1 = {sigma!r} is not resolvable",
-                iterations=iters, residual=rnorm,
-            )
+            raise NewtonDivergenceError("singular stationary Jacobian") from exc
+        border = linalg.bordered_solver(lu, np.full(n, -1.0), r, 0.0)
 
-        def schur(v):
-            y = lu.solve(v[:n])
-            s = (v[n] - float(np.sum(r * y))) / sigma
-            return np.concatenate((y + s * u, [s]))
+        def bordered(v):
+            return np.append(*border(v[:n], v[n]))
 
         if K is None:
-            return schur(rhs), 0
+            return bordered(rhs), 0
 
         def matvec(v):
             x = v[:n]
             return np.concatenate((B @ x - v[n] - K.apply_values(t * x), [np.sum(r * x)]))
 
-        x, its, ok = gmres(matvec, schur, rhs, GMRES_RTOL, GMRES_RESTART, GMRES_MAXITER)
+        x, its, ok = linalg.gmres(matvec, bordered, rhs,
+                                  GMRES_RTOL, GMRES_RESTART, GMRES_MAXITER)
         if not ok:
-            raise NewtonDivergenceError("stationary GMRES did not converge",
-                                        iterations=iters, residual=rnorm)
+            raise NewtonDivergenceError("stationary GMRES did not converge")
         return x, its
 
 
@@ -257,7 +185,11 @@ def solve_equilibrium(M: ph.ModelConfig, k: float, guess: g.Field,
         # local part's identity stands for the potential diagonal F'' t = 1
         t = 1.0 / d2 if entropy else 1.0
         d = shift * t if entropy else d2 + shift
-        step, its = jac.solve(d, t / n, -res, K, t, iters, rnorm)
+        try:
+            step, its = jac.solve(d, t / n, -res, K, t)
+        except NewtonDivergenceError as exc:
+            exc.iterations, exc.residual = iters, rnorm
+            raise
         linear += its
         lam = 1.0
         for _ in range(MAX_BACKTRACKS):

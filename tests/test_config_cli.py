@@ -169,6 +169,15 @@ sigma2 = 0
         assert cfg.build_grid() == grid
         assert cfg.build_initial_field(cfg.build_grid()).grid == grid
 
+    def test_malformed_initial_snapshot_is_typed(self, tmp_path, capsys):
+        snap = tmp_path / "init.dat"
+        snap.write_text("4 0.25\n" + "0.1\n" * 4)
+        text = MINIMAL_AC.format(out=tmp_path / "run").replace(
+            "kind = cosine-perturbation", f"kind = file\npath = {snap}")
+        assert main(["simulate", str(write_cfg(tmp_path, text))]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: snapshot {snap}: malformed snapshot header '4 0.25'")
+
 
 class TestCLI:
     def simulate(self, tmp_path, extra=None):
@@ -292,6 +301,13 @@ class TestCLI:
         assert main(["sweep", str(cfg_path), "--axis", "initial.mean=0.07"]) == 0
         with pytest.raises(SystemExit):
             main(["sweep", str(cfg_path), "--axis", "initial.mean=0.07"])
+
+    def test_sweep_value_typo_is_typed(self, tmp_path, capsys):
+        out = tmp_path / "sw"
+        cfg_path = write_cfg(tmp_path, MINIMAL_AC.format(out=out))
+        assert main(["sweep", str(cfg_path), "--axis", "grid.nx=64,abc"]) == 2
+        assert capsys.readouterr().err.startswith("error: [grid] nx = 'abc'")
+        assert not out.exists()
 
     def test_sweep_under_relative_output_root(self, tmp_path, monkeypatch):
         # each variant directory is resolved against the root once, not twice

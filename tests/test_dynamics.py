@@ -23,7 +23,7 @@ from phaselab import (
     solve_equilibrium,
     step,
 )
-from phaselab import dynamics
+from phaselab import dynamics, linalg
 from phaselab import grid as g
 from phaselab import stationary
 from phaselab.errors import NewtonDivergenceError, StepFloorError, ValidationError
@@ -295,7 +295,7 @@ class TestLaggedJacobian:
         else:
             assert np.array_equal(A, ref)
         # the solve inverts the full Jacobian: the sparse part minus the mean
-        # term u v^T, u = dt beta / n, v = c, that Sherman-Morrison folds in
+        # term u v^T, u = dt beta / n, v = c, that the bordered solve folds in
         c = M.potential.d2F(x) + (ws.w if ws.w is not None else 0.0)
         b = rng(6).standard_normal(grid.n_cells)
         y = solve(b)
@@ -320,7 +320,7 @@ class TestLaggedJacobian:
         stepper_calls = len(kwargs)
         solve_equilibrium(M, 0.1, s.phi)
         assert 0 < stepper_calls < len(kwargs)
-        assert all(kw == g.SPLU_ORDERING for kw in kwargs)
+        assert all(kw == linalg.SPLU_ORDERING for kw in kwargs)
 
     def test_lu_ordering_fills_less_than_colamd(self, monkeypatch):
         seen = []
@@ -330,7 +330,7 @@ class TestLaggedJacobian:
         grid = Grid((40, 40), (1.0, 1.0))
         phi = 0.1 + 0.3 * rng(1).uniform(-1.0, 1.0, grid.n_cells)
         dynamics._StepWorkspace(nl_model(), Field(grid, phi)).jacobian_solver(phi, 1e-4)
-        ordered = real(seen[0], **g.SPLU_ORDERING)
+        ordered = real(seen[0], **linalg.SPLU_ORDERING)
         colamd = real(seen[0], permc_spec="COLAMD")
         assert ordered.L.nnz + ordered.U.nnz <= 0.75 * (colamd.L.nnz + colamd.U.nnz)
 
@@ -346,7 +346,7 @@ class TestLaggedJacobian:
         scale = np.nan if breakdown == "nan" else 1.0 / (dt * M.beta * c.mean())
         stub = types.SimpleNamespace(solve=lambda b: scale * b)
         monkeypatch.setattr(dynamics, "spla", types.SimpleNamespace(splu=lambda A, **kw: stub))
-        with pytest.raises(NewtonDivergenceError, match="Sherman-Morrison"):
+        with pytest.raises(NewtonDivergenceError, match="Schur complement"):
             step(M, s, dt, StepperConfig())
 
     def test_sherman_morrison_breakdown_is_rejected_and_retried(self, monkeypatch):

@@ -20,7 +20,7 @@ from phaselab import (
     save_field,
 )
 from phaselab.grid import FaceField, fast_length, weighted_laplacian_matrix
-from phaselab.errors import GridMismatchError
+from phaselab.errors import GridMismatchError, ParseError
 from conftest import (
     dense_kernel,
     face_average,
@@ -405,7 +405,19 @@ class TestFieldIO:
     def test_header_lengths_must_match_spacing(self, tmp_path):
         p = tmp_path / "snap.dat"
         p.write_text("4 0.25 neumann 2.0\n0.1\n0.2\n0.3\n0.4\n")
-        with pytest.raises(ValueError):
+        with pytest.raises(ParseError, match="snap.dat: header lengths disagree"):
+            load_field(p)
+
+    @pytest.mark.parametrize("text,what", [
+        ("4 0.25\n0.1\n0.2\n0.3\n0.4\n", "malformed snapshot header '4 0.25'"),
+        ("4 0.25 neumann\n0.1\n0.2\nabc\n0.4\n", "could not convert"),
+        ("4 abc neumann\n0.1\n0.2\n0.3\n0.4\n", "could not convert"),
+        ("4 0.25 dirichlet\n0.1\n0.2\n0.3\n0.4\n", "unknown boundary mode 'dirichlet'"),
+    ], ids=["header", "body_token", "header_token", "bc"])
+    def test_malformed_snapshot_is_a_parse_error(self, tmp_path, text, what):
+        p = tmp_path / "snap.dat"
+        p.write_text(text)
+        with pytest.raises(ParseError, match=f"snap.dat: {what}"):
             load_field(p)
 
     def test_body_bytes_equal_savetxt(self, tmp_path):

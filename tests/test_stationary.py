@@ -28,7 +28,7 @@ from phaselab import (
     stationary_residual,
     step,
 )
-from phaselab import physics, stationary
+from phaselab import linalg, physics, stationary
 from phaselab.errors import NewtonDivergenceError
 from phaselab.grid import weighted_laplacian_matrix
 from phaselab.stationary import equilibrium_seeds
@@ -163,12 +163,19 @@ def dense_equilibrium(M, k, guess, tol=1e-12, max_iter=80):
     phi_of = P.inverse_dF if entropy else (lambda z: z)
     z = P.dF(np.clip(guess.data, -1 + 1e-14, 1 - 1e-14)) if entropy else guess.data.copy()
 
-    def residual(z, mu_c):
+    def mu_of(z):
+        # in psi, mu = psi + (w - sigma1 theta0) phi - K phi: F' is never
+        # evaluated at a phi = tanh(psi / theta) that rounds to +-1
         phi = phi_of(z)
-        r = np.append(chemical_potential(M, Field(grid, phi)).data - mu_c, phi.mean() - k)
+        if entropy:
+            return z + (w - M.sigma1 * P.theta0) * phi - Kd @ phi
+        return chemical_potential(M, Field(grid, phi)).data
+
+    def residual(z, mu_c):
+        r = np.append(mu_of(z) - mu_c, phi_of(z).mean() - k)
         return r, np.sqrt(r[:n] @ r[:n] * vol + r[n] ** 2)
 
-    mu_c = chemical_potential(M, Field(grid, phi_of(z))).data.mean()
+    mu_c = mu_of(z).mean()
     r, rnorm = residual(z, mu_c)
     for _ in range(max_iter):
         if rnorm <= tol:
@@ -176,7 +183,7 @@ def dense_equilibrium(M, k, guess, tol=1e-12, max_iter=80):
         phi = phi_of(z)
         J_mu = np.diag(P.d2F(phi) - M.sigma1 * P.theta0 + w) - Kd
         if M.gamma > 0:
-            a_face = face_average(Field(grid, M.diffusion(phi)), M.face_mode)
+            a_face = face_average(Field(grid, M.diffusion(phi)))
             J_mu -= M.gamma * weighted_laplacian_matrix(grid, a_face).toarray()
         dphi = 1.0 / P.d2F(phi) if entropy else np.ones(n)
         J = np.zeros((n + 1, n + 1))
@@ -199,6 +206,15 @@ def dense_equilibrium(M, k, guess, tol=1e-12, max_iter=80):
     return phi_of(z), mu_c
 
 
+def psi_layer_case(sigma2, seed):
+    """gamma = 0, sigma1 = 1 on (64,) at k = 0.1 from a layer seed, with or without a kernel."""
+    P = log_potential()
+    M = ModelConfig(1, 0, 0, 1, sigma2, P, MobilitySpec.polynomial([1.0, 0.0, -0.5], m_star=0.5),
+                    DiffusionSpec.polynomial([1.0, 0.0, 0.5], a_star=1.0),
+                    kernel=KernelSpec("gaussian", scale=0.1) if sigma2 else None)
+    return M, 0.1, dict(equilibrium_seeds(Grid((64,), (1.0,)), 0.1, potential=P))[seed]
+
+
 def _oracle_cases():
     P = log_potential()
     mob = MobilitySpec.polynomial([1.0, 0.0, -0.5], m_star=0.5)
@@ -211,9 +227,7 @@ def _oracle_cases():
     general = ModelConfig(1, 0, 1e-2, 1, 1, P, mob, dif,
                           kernel=KernelSpec("gaussian", scale=0.1))
     # gamma = 0 with the concave term: the psi iteration's local block
-    # 1 - theta0/F''(phi) changes sign across the spinodal.  From layer seeds the
-    # oracle's F'(phi) leaves the guard band at saturated trial states, so
-    # these start from a small cosine
+    # 1 - theta0/F''(phi) changes sign across the spinodal
     entropy = {}
     for sigma2 in (1, 0):
         M = ModelConfig(1, 0, 0, 1, sigma2, P, mob, dif,
@@ -223,6 +237,9 @@ def _oracle_cases():
                 name = "x".join(map(str, grid.shape))
                 entropy[f"general_psi_{'kernel' if sigma2 else 'local'}_{name}_k{k}"] = (
                     M, k, cosine_seed(grid, k))
+    # layer seeds saturate tanh(psi / theta) at trial states
+    for seed in ("tanh_mid", "tanh_flip"):
+        entropy[f"general_psi_kernel_64_k0.1_{seed}"] = psi_layer_case(1, seed)
     return {
         "ch_varying_diffusion": (deep_quench_ch(), 0.0,
                                  tanh_seed(g64, width=0.02)),
@@ -249,6 +266,17 @@ class TestAgainstDenseOracle:
         eq = solve_equilibrium(M, k, guess, tol=1e-12)
         assert np.max(np.abs(eq.phi_inf.data - phi_ref)) <= 1e-10
         assert abs(eq.mu_inf - mu_ref) <= 1e-10
+
+    @pytest.mark.parametrize("seed", ["tanh_mid", "tanh_flip"])
+    def test_local_psi_layers_stall_in_both_solvers(self, seed):
+        # without a kernel the residual F'(phi) - theta0 phi - mu_inf is
+        # pointwise, and from a layer seed both Newtons exhaust their damping
+        # (the psi block 1 - theta0 / F''(phi) changes sign across the spinodal)
+        M, k, guess = psi_layer_case(0, seed)
+        with pytest.raises(AssertionError, match="oracle damping exhausted"):
+            dense_equilibrium(M, k, guess)
+        with pytest.raises(NewtonDivergenceError, match="stationary damping exhausted"):
+            solve_equilibrium(M, k, guess, tol=1e-12)
 
     @pytest.mark.parametrize("case", ["ch_varying_diffusion", "nl_consistent"])
     def test_one_evaluation_per_trial_state(self, case, monkeypatch):
@@ -297,7 +325,7 @@ class TestAgainstDenseOracle:
         sign = np.nan if breakdown == "nan" else np.resize([1.0, -1.0], guess.grid.n_cells)
         stub = types.SimpleNamespace(solve=lambda b: sign * b)
         monkeypatch.setattr(stationary, "spla", types.SimpleNamespace(splu=lambda A, **kw: stub))
-        with pytest.raises(NewtonDivergenceError, match="Schur border") as exc:
+        with pytest.raises(NewtonDivergenceError, match="Schur complement") as exc:
             solve_equilibrium(M, k, guess, tol=1e-12)
         assert exc.value.iterations == 1
         assert np.isfinite(exc.value.residual) and exc.value.residual > 0
@@ -312,9 +340,20 @@ class TestAgainstDenseOracle:
         bordered = np.block([[np.diag(1.0 + d), -np.ones((n, 1))],
                              [np.full((1, n), 1.0 / n), np.zeros((1, 1))]])
         assert np.linalg.matrix_rank(bordered) == n + 1
+        with pytest.raises(NewtonDivergenceError, match="singular stationary Jacobian"):
+            jac.solve(d, 1.0 / n, np.ones(n + 1), None, 1.0)
+
+    def test_singular_local_block_carries_the_newton_context(self, monkeypatch):
+        M, k, guess = _oracle_cases()["ac"]
+
+        def splu(A, **kw):
+            raise RuntimeError("Factor is exactly singular")
+
+        monkeypatch.setattr(stationary, "spla", types.SimpleNamespace(splu=splu))
         with pytest.raises(NewtonDivergenceError, match="singular stationary Jacobian") as exc:
-            jac.solve(d, 1.0 / n, np.ones(n + 1), None, 1.0, 3, 0.5)
-        assert (exc.value.iterations, exc.value.residual) == (3, 0.5)
+            solve_equilibrium(M, k, guess, tol=1e-12)
+        assert exc.value.iterations == 1
+        assert np.isfinite(exc.value.residual) and exc.value.residual > 0
 
     def test_linear_iterations_are_counted(self):
         nl = solve_equilibrium(*_oracle_cases()["nl_consistent"], tol=1e-12)
@@ -347,8 +386,8 @@ class TestGmres:
         b = rng.standard_normal(n)
         # one cycle, and cycles of 5 that rely on the true residual at each restart
         for restart in (stationary.GMRES_RESTART, 5):
-            x, its, ok = stationary.gmres(lambda v: A @ v, lambda v: v / np.diag(A), b,
-                                          restart=restart, maxiter=n)
+            x, its, ok = linalg.gmres(lambda v: A @ v, lambda v: v / np.diag(A), b,
+                                      stationary.GMRES_RTOL, restart, n)
             assert ok and 0 < its < n
             assert np.linalg.norm(b - A @ x) <= stationary.GMRES_RTOL * np.linalg.norm(b)
 
@@ -356,7 +395,9 @@ class TestGmres:
         rng = np.random.default_rng(61)
         A = np.eye(60) + 0.3 * rng.standard_normal((60, 60))
         b = rng.standard_normal(60)
-        x, its, ok = stationary.gmres(lambda v: A @ v, lambda v: np.linalg.solve(A, v), b)
+        x, its, ok = linalg.gmres(lambda v: A @ v, lambda v: np.linalg.solve(A, v), b,
+                                  stationary.GMRES_RTOL, stationary.GMRES_RESTART,
+                                  stationary.GMRES_MAXITER)
         assert ok and its == 1
         assert np.linalg.norm(b - A @ x) <= stationary.GMRES_RTOL * np.linalg.norm(b)
 
