@@ -102,10 +102,12 @@ def _write_trajectory(outdir: Path, traj: Trajectory) -> list:
     return files
 
 
-def _simulate(cfg: ExperimentConfig, outdir: Path) -> dict:
-    """Integrate cfg and write its run record into the prepared outdir.
+def _simulate(cfg: ExperimentConfig, exist_ok: bool = True) -> tuple[Path, dict]:
+    """Integrate cfg and write its run record; returns the run directory and manifest.
 
-    The manifest asserts that the run completed and every invariant that
+    The directory is prepared once the run has a trajectory, so a config
+    whose initial data or model fail to build leaves no run directory.  The
+    manifest asserts that the run completed and every invariant that
     ``Trajectory.verify`` re-checks from the recorded series.
     """
     started = time.time()
@@ -116,20 +118,19 @@ def _simulate(cfg: ExperimentConfig, outdir: Path) -> dict:
                    cfg.t_max, stepper, provenance=cfg.provenance())
     except StepFloorError as exc:
         traj, failed = exc.trajectory, str(exc)
+    outdir = _prepare_outdir(cfg, exist_ok)
     files = _write_trajectory(outdir, traj)
     checks = traj.verify(tol_e=stepper.tol_e)
     del checks["ok"]
     summary = {"schema": SCHEMA_TAG, "config_digest": cfg.digest(), "error": failed,
                **traj.summary()}
     files.append(_write_json(outdir / "summary.json", summary))
-    return _manifest(outdir, cfg.digest(), files, {"complete": traj.complete, **checks},
-                     started)
+    return outdir, _manifest(outdir, cfg.digest(), files,
+                             {"complete": traj.complete, **checks}, started)
 
 
 def cmd_simulate(args) -> int:
-    cfg = parse_config(args.config)
-    outdir = _prepare_outdir(cfg)
-    manifest = _simulate(cfg, outdir)
+    outdir, manifest = _simulate(parse_config(args.config))
     print(f"simulate: {outdir}  pass={manifest['pass']}")
     return 0 if manifest["pass"] else 1
 
@@ -335,9 +336,8 @@ def cmd_lemmas(args) -> int:
 
 
 def _sweep_worker(text: str) -> tuple[str, bool]:
-    cfg = ExperimentConfig.from_string(text)
-    outdir = _prepare_outdir(cfg, exist_ok=False)
-    return str(outdir), _simulate(cfg, outdir)["pass"]
+    outdir, manifest = _simulate(ExperimentConfig.from_string(text), exist_ok=False)
+    return str(outdir), manifest["pass"]
 
 
 def cmd_sweep(args) -> int:

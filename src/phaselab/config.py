@@ -116,10 +116,16 @@ _SCHEMA = {
 
 
 def convert_value(section: str, key: str, raw: str):
-    """The value of ``key = raw`` in ``[section]``; an empty ``raw`` leaves it unset (None)."""
-    conv, _ = _SCHEMA[section][key]
+    """The value of ``key = raw`` in ``[section]``; an empty ``raw`` leaves a key
+    with an empty default unset (None) and is an error for any other key."""
+    conv, default = _SCHEMA[section][key]
+    if raw == "":
+        if default:
+            raise ValidationError(f"[{section}] {key} is empty; give a value or drop the "
+                                  f"line for the default {default!r}")
+        return None
     try:
-        return conv(raw) if raw != "" else None
+        return conv(raw)
     except (ValueError, ValidationError) as exc:
         raise ValidationError(f"[{section}] {key} = {raw!r}: {exc}") from exc
 

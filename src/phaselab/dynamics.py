@@ -4,13 +4,15 @@ One semi-implicit step solves
 
     (phi+ - phi) / dt = alpha div(m(phi) grad mu+) - beta (mu+ - mean(mu+))
 
-with the chemical potential split convexly: the gradient diffusion (with the
-coefficient a frozen at the old state) and the singular entropy derivative
-F'(phi+) are implicit, while the concave and nonlocal pieces (-theta0 phi,
--J*phi, the a' gradient-square term) stay explicit.  F'' >= theta makes the
-implicit map monotone, so damped Newton with pointwise clamping inside
-(-1, 1) is robust; the barrier of F' itself keeps iterates off the pure
-phases.
+with the gradient diffusion (its coefficient a frozen at the old state) and
+the whole local potential F'(phi+) - sigma1 theta0 phi+ implicit (backward
+Euler in the local potential), while the nonlocal -J*phi and the a'
+gradient-square term stay explicit.  With the concave term implicit the
+energy gate leans on tol_e only where E is nonconvex along the step; the
+price is that the implicit map is monotone only below a dt bound
+(``solvability_bound``), at which ``run`` caps dt.  Damped Newton with
+pointwise clamping inside (-1, 1) is robust below it; the barrier of F'
+itself keeps iterates off the pure phases.
 
 The Newton Jacobian is lagged (a chord iteration): a run keeps its last
 sparse LU, with the mean term as its border, across Newton iterations,
@@ -38,7 +40,8 @@ The adaptive driver rejects any step that violates the one-step energy
 inequality E(phi+) + dt * D(phi+) <= E(phi) + tol_E (a NaN on either side
 violates it) and retries with half the step; trajectories that violate
 dissipation are worthless for the analysis layer, so violation is treated as
-failure, not warning.  Each trial state is evaluated once
+failure, not warning.  Snapshots follow ``snapshot_every`` with a floor in
+time (``_Recorder``).  Each trial state is evaluated once
 (``physics.Evaluation``): the same evaluation feeds the gate, the recorded
 diagnostics and, once accepted, the coefficients and explicit terms that the
 next step freezes.
@@ -62,6 +65,7 @@ from .errors import (
     NewtonDivergenceError,
     ParseError,
     StepFloorError,
+    ValidationError,
 )
 
 
@@ -226,6 +230,31 @@ GROW_FACTOR = 1.2
 GROW_EVERY = 5
 # A Newton pass with a fresh LU halves its damping at most this often.
 MAX_BACKTRACKS = 40
+# The recorder keeps a snapshot in each of this many equal slots of [0, t_max]:
+# twice the default omega_reps, so the trailing half holds enough for analyze.
+SNAPSHOT_SLOTS = 16
+
+
+def solvability_bound(M: ph.ModelConfig, w_min: float = 0.0) -> float:
+    """The dt below which the implicit step map is monotone (inf: every dt).
+
+    The Jacobian's local part F'' - sigma1 theta0 (+ w) is at least -kappa,
+    kappa = sigma1 theta0 - theta - min w; on a mode where -L has eigenvalue
+    lam the map stays positive while dt (beta + alpha m lam)(kappa - gamma a
+    lam) < 1, for every lam once dt (beta kappa + alpha m_max kappa^2 /
+    (4 gamma a_min)) < 1.  With alpha > 0 and gamma = 0 no dt does.
+    """
+    kappa = M.sigma1 * M.potential.theta0 - M.potential.theta - w_min
+    if kappa <= 0:
+        return math.inf
+    rate = M.beta * kappa
+    if M.alpha > 0:
+        if M.gamma <= 0:
+            raise ValidationError(f"the implicit step map is not monotone at any dt: "
+                                  f"gamma = 0 and kappa = {kappa:.3g} > 0")
+        m_max = float(np.max(M.mobility(np.linspace(-1.0, 1.0, 2001))))
+        rate += M.alpha * m_max * kappa ** 2 / (4.0 * M.gamma * M.diffusion.a_star)
+    return 1.0 / rate
 
 
 class _StepWorkspace:
@@ -249,7 +278,9 @@ class _StepWorkspace:
         self.solve = None
         self.dt_f = 0.0
         self.factorizations = 0
+        self.theta0 = M.sigma1 * self.P.theta0
         self.freeze(evaluation or ph.Evaluation(M, phi_field))
+        self.dt_solvable = solvability_bound(M, 0.0 if self.w is None else float(self.w.min()))
 
     def freeze(self, ev: ph.Evaluation):
         """Freeze the coefficients and explicit terms at a newly accepted state."""
@@ -260,10 +291,13 @@ class _StepWorkspace:
         self.wa = None if self.a_face is None else M.gamma * self.a_face * inv_h2
         self.wm = None if self.m_face is None else M.alpha * self.m_face * inv_h2
         self.w = ev.kernel.row_sums if (M.sigma2 and M.nonlocal_consistency) else None
-        self.explicit = ev.explicit
+        # the concave term -theta0 phi moves from the explicit part to mu_of
+        self.explicit = ev.explicit + self.theta0 * ev.phi if self.theta0 else ev.explicit
 
     def mu_of(self, x: np.ndarray) -> np.ndarray:
         mu = self.P._f1(x) + self.explicit  # F' unchecked: step guards every iterate
+        if self.theta0:
+            mu -= self.theta0 * x
         if self.wa is not None:  # -gamma L_a x
             mu += self.ops.div(self.wa * self.ops.diff(x))
         if self.w is not None:
@@ -287,15 +321,15 @@ class _StepWorkspace:
         """Factor the Jacobian at x and keep it as the workspace's LU.
 
         The sparse part is A = I + dt (beta I - alpha L_m)(diag c - gamma L_a)
-        with c = F''(x) (+ w), its diagonal terms added onto the diagonals of
-        L_a and L_m, which are assembled here (at the frozen coefficients) and
-        nowhere else.  The mean subtraction adds -dt beta / n 1 c^T (L_a has
+        with c = F''(x) - sigma1 theta0 (+ w), its diagonal terms added onto
+        the diagonals of L_a and L_m, which are assembled here (at the frozen
+        coefficients) and nowhere else.  The mean subtraction adds -dt beta / n 1 c^T (L_a has
         zero column sums): the border col = -dt beta / n 1, row = c, corner = -1.
         """
         M = self.M
-        c = self.P.d2F_checked(x)
+        c = self.P.d2F_checked(x) - self.theta0
         if self.w is not None:
-            c = c + self.w
+            c += self.w
         if self.a_face is None:
             A = sp.diags(c, format="csr")
         else:
@@ -405,11 +439,23 @@ def step(M: ph.ModelConfig, s: State, dt: float, cfg: StepperConfig,
 
 
 class _Recorder:
-    """One ``DIAGNOSTICS`` row per accepted state, plus the sampled snapshots."""
+    """One ``DIAGNOSTICS`` row per accepted state, plus the sampled snapshots.
 
-    def __init__(self):
+    Besides the states ``run`` asks for, a state that leaves a slot
+    [k, k + 1) * t_max / SNAPSHOT_SLOTS holding no snapshot has its
+    predecessor, the slot's last state, snapshotted: a floor in time.
+    """
+
+    def __init__(self, t_max: float):
         self.rows = {attr: [] for attr in DIAGNOSTICS}
         self.snapshots = []
+        self.slots_per_t = SNAPSHOT_SLOTS / t_max if t_max > 0 else 0.0
+        self.covered = -1  # the slot of the last snapshot
+        self.prev = None
+
+    def snapshot(self, state: State):
+        self.snapshots.append((state.t, state.phi.copy()))
+        self.covered = int(state.t * self.slots_per_t)
 
     def sample(self, state: State, dt: float, snapshot: bool, ev: ph.Evaluation):
         phi = state.phi
@@ -428,8 +474,13 @@ class _Recorder:
         }
         for attr, row in self.rows.items():
             row.append(values[attr])
+        prev = self.prev
+        if prev is not None and \
+                self.covered < int(prev.t * self.slots_per_t) < int(state.t * self.slots_per_t):
+            self.snapshot(prev)
         if snapshot:
-            self.snapshots.append((state.t, phi.copy()))
+            self.snapshot(state)
+        self.prev = state
 
 
 def run(M: ph.ModelConfig, phi0: g.Field, t_max: float, cfg: StepperConfig | None = None,
@@ -438,8 +489,9 @@ def run(M: ph.ModelConfig, phi0: g.Field, t_max: float, cfg: StepperConfig | Non
 
     Steps failing Newton, the pointwise guard, or the one-step energy
     inequality are rejected and retried with dt/2; after GROW_EVERY clean
-    steps dt grows by GROW_FACTOR up to dt_max.  Raises StepFloorError (with
-    the partial trajectory attached) if dt_min is reached while still failing.
+    steps dt grows by GROW_FACTOR up to dt_max; dt_init and dt_max are capped
+    at ``solvability_bound``.  Raises StepFloorError (with the partial
+    trajectory attached) if dt_min is reached while still failing.
     """
     cfg = cfg or StepperConfig()
     if np.max(np.abs(phi0.data)) > 1.0:
@@ -452,20 +504,21 @@ def run(M: ph.ModelConfig, phi0: g.Field, t_max: float, cfg: StepperConfig | Non
 
     prov = {**model_provenance(M), **(provenance or {})}
 
-    rec = _Recorder()
+    rec = _Recorder(t_max)
     state = State(start, 0.0)
     ev = ph.Evaluation(M, start)
     rec.sample(state, 0.0, True, ev)
     e_prev = ev.energy
 
-    dt = cfg.dt_init
+    t0 = _time.perf_counter()
+    ws = _StepWorkspace(M, start, ev)
+    dt_max = min(cfg.dt_max, ws.dt_solvable)
+    dt = min(cfg.dt_init, dt_max)
     clean = 0
     accepted = 0
     rejected = {"newton": 0, "bounds": 0, "energy": 0}
     dwell = 0
     stop_reason = "t_max"
-    t0 = _time.perf_counter()
-    ws = _StepWorkspace(M, start, ev)
 
     def finish(reason: str, complete: bool) -> Trajectory:
         out = dict(prov, accepted=accepted, rejected=dict(rejected),
@@ -507,7 +560,7 @@ def run(M: ph.ModelConfig, phi0: g.Field, t_max: float, cfg: StepperConfig | Non
 
         clean += 1
         if clean >= GROW_EVERY:
-            dt = min(dt * GROW_FACTOR, cfg.dt_max)
+            dt = min(dt * GROW_FACTOR, dt_max)
             clean = 0
 
         dissnorm = ev.grad_mu_l2 if M.dissipation_norm == "grad_mu" else ev.mu_fluct_l2
@@ -520,5 +573,5 @@ def run(M: ph.ModelConfig, phi0: g.Field, t_max: float, cfg: StepperConfig | Non
             dwell = 0
 
     if not rec.snapshots or rec.snapshots[-1][0] < state.t:
-        rec.snapshots.append((state.t, state.phi.copy()))
+        rec.snapshot(state)
     return finish(stop_reason, True)

@@ -206,14 +206,21 @@ def unit_face_weights(grid: Grid) -> FaceField:
 
 
 
+def jacobian_diagonal_oracle(ws, x: np.ndarray) -> np.ndarray:
+    """c = F''(x) - sigma1 theta0 (+ w): the derivative of the step's local
+    part, whose concave term is implicit."""
+    M = ws.M
+    c = M.potential.d2F(x) - M.sigma1 * M.potential.theta0
+    return c if ws.w is None else c + ws.w
+
+
 def jacobian_matrix_oracle(ws, x: np.ndarray, dt: float):
-    """I + dt (beta I - alpha L_m)(diag c - gamma L_a), c = F''(x) (+ w), at a
-    stepper workspace's frozen coefficients, assembled as sums and products
-    of scipy sparse matrices (oracle of ``_StepWorkspace.jacobian_solver``)."""
+    """I + dt (beta I - alpha L_m)(diag c - gamma L_a), c from
+    ``jacobian_diagonal_oracle``, at a stepper workspace's frozen
+    coefficients, assembled as sums and products of scipy sparse matrices
+    (oracle of ``_StepWorkspace.jacobian_solver``)."""
     M, n = ws.M, ws.n
-    c = M.potential.d2F(x)
-    if ws.w is not None:
-        c = c + ws.w
+    c = jacobian_diagonal_oracle(ws, x)
     eye = sp.identity(n, format="csr")
     dmu = sp.diags(c, format="csr")
     if ws.a_face is not None:

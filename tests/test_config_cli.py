@@ -3,6 +3,7 @@
 import json
 import os
 import platform
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -177,6 +178,37 @@ sigma2 = 0
         assert main(["simulate", str(write_cfg(tmp_path, text))]) == 2
         assert capsys.readouterr().err.startswith(
             f"error: snapshot {snap}: malformed snapshot header '4 0.25'")
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("line, empty", [
+        ("dt_init = 1e-4", "[time] dt_init"),
+        ("nx = 64", "[grid] nx"),
+        ("[output]", "[analysis] eq_seeds"),
+    ])
+    def test_empty_value_of_a_defaulted_key_is_typed(self, tmp_path, capsys, line, empty):
+        section, key = empty[1:].split("] ")
+        blank = f"{key} =" if line != "[output]" else f"[{section}]\n{key} =\n\n[output]"
+        text = MINIMAL_AC.format(out=tmp_path / "run").replace(line, blank)
+        with pytest.raises(ValidationError, match=re.escape(f"{empty} is empty")):
+            ExperimentConfig.from_string(text)
+        assert main(["simulate", str(write_cfg(tmp_path, text))]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {empty} is empty")
+        assert not (tmp_path / "run").exists()
+
+    def test_model_without_an_admissible_dt_leaves_no_run_directory(self, tmp_path, capsys):
+        # transport with the concave term and no gradient energy: the step's
+        # implicit map is monotone at no dt, which the stepper rejects typed
+        text = MINIMAL_AC.format(out=tmp_path / "run").replace(
+            "preset = CONSERVED_AC\ngamma = 0.02",
+            "alpha = 1.0\nbeta = 0.0\ngamma = 0.0\nsigma1 = 1\nsigma2 = 0")
+        assert main(["simulate", str(write_cfg(tmp_path, text))]) == 2
+        assert "not monotone at any dt" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_empty_value_of_an_optional_key_leaves_it_unset(self, tmp_path):
+        text = MINIMAL_AC.format(out=tmp_path).replace(
+            "[output]", "[kernel]\nsupport =\n\n[output]")
+        assert ExperimentConfig.from_string(text).values["kernel"]["support"] is None
 
 
 class TestCLI:
@@ -211,6 +243,52 @@ class TestCLI:
         assert rc1 == rc2 == 0
         assert ((out1 / "diagnostics.csv").read_text()
                 == (tmp_path / "run2" / "diagnostics.csv").read_text())
+
+    def test_short_run_analyzes_with_its_omega_polish(self, tmp_path):
+        # the dt ramp crosses this horizon in 165 steps, ~15 of them in the
+        # trailing half: the recorder's floor in time gives analyze enough
+        # late snapshots for the omega-limit estimate and its polish
+        out = tmp_path / "run"
+        text = f"""
+[grid]
+dim = 1
+nx = 32
+
+[mobility]
+kind = poly
+m_star = 0.5
+coeffs = 1.0 0.0 -0.5
+
+[diffusion]
+kind = poly
+a_star = 1.0
+coeffs = 1.0 0.0 0.5
+
+[model]
+preset = CH_NONLINEAR
+gamma = 0.01
+
+[initial]
+kind = cosine-perturbation
+mean = 0.0
+amplitude = 0.05
+mode = 3
+
+[time]
+dt_init = 1e-6
+dt_max = 1e-2
+t_max = 0.01
+snapshot_every = 10
+steady_tol = 0.0
+
+[output]
+dir = {out}
+"""
+        assert main(["simulate", str(write_cfg(tmp_path, text))]) == 0
+        assert json.loads((out / "summary.json").read_text())["accepted"] == 165
+        assert main(["analyze", str(out)]) == 0
+        nearest = json.loads((out / "report.json").read_text())["omega"]["nearest_eq"]
+        assert nearest["residual"] <= 1e-10
 
     def test_analyze_reports_good_times_ok(self, tmp_path):
         rc, out = self.simulate(tmp_path)
@@ -307,6 +385,15 @@ class TestCLI:
         cfg_path = write_cfg(tmp_path, MINIMAL_AC.format(out=out))
         assert main(["sweep", str(cfg_path), "--axis", "grid.nx=64,abc"]) == 2
         assert capsys.readouterr().err.startswith("error: [grid] nx = 'abc'")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("axis", ["time.dt_init=,", "grid.nx=32,"])
+    def test_sweep_empty_value_is_typed(self, tmp_path, capsys, axis):
+        out = tmp_path / "sw"
+        cfg_path = write_cfg(tmp_path, MINIMAL_AC.format(out=out))
+        assert main(["sweep", str(cfg_path), "--axis", axis]) == 2
+        key = axis.partition("=")[0].replace(".", "] ", 1)
+        assert capsys.readouterr().err.startswith(f"error: [{key} is empty")
         assert not out.exists()
 
     def test_sweep_under_relative_output_root(self, tmp_path, monkeypatch):

@@ -27,7 +27,7 @@ from phaselab import dynamics, linalg
 from phaselab import grid as g
 from phaselab import stationary
 from phaselab.errors import NewtonDivergenceError, StepFloorError, ValidationError
-from conftest import jacobian_matrix_oracle
+from conftest import jacobian_diagonal_oracle, jacobian_matrix_oracle
 
 
 def rng(seed=0):
@@ -242,6 +242,96 @@ class TestRun:
         assert traj.mu_fluct_l2[-1] < 1e-4 * traj.mu_fluct_l2.max()
 
 
+class TestSolvabilityCap:
+    def test_bounds_of_the_presets(self):
+        # kappa = theta0 - theta = 0.7; CH: m_max = 1 (m = 1 - s^2 / 2), a_min = 1
+        assert dynamics.solvability_bound(ac_model()) == pytest.approx(1.0 / 0.7)
+        assert dynamics.solvability_bound(ch_model(gamma=0.01)) == \
+            pytest.approx(4.0 * 0.01 / 0.7 ** 2)
+        assert dynamics.solvability_bound(nl_model()) == np.inf
+
+    def test_run_caps_dt(self):
+        M = ac_model(theta=0.3, gamma=0.02)
+        grid = Grid((16,), (1.0,))
+        phi0 = Field(grid, 0.9 + 0.01 * np.cos(np.pi * grid.axes()[0]))
+        cfg = StepperConfig(dt_init=5.0, dt_max=5.0, steady_tol=0.0)
+        traj = run(M, phi0, 5.0, cfg)
+        assert traj.dt[1] == traj.dt.max() == 1.0 / 0.7
+
+    def test_transport_without_gradient_energy_fails_when_built(self):
+        P = PotentialSpec.logarithmic(0.3, 1.0)
+        M = dynamics.ph.ModelConfig(1.0, 0.0, 0.0, 1, 0, P, MobilitySpec.constant(),
+                                    DiffusionSpec.constant())
+        grid = Grid((16,), (1.0,))
+        with pytest.raises(ValidationError, match="not monotone"):
+            run(M, Field.constant(grid, 0.1), 1.0)
+
+
+class TestTimeAccuracy:
+    """Self-convergence in dt at fixed dt_init = dt_max.
+
+    With d(dt) = |phi_dt(T) - phi_dt/2(T)|_L2 the observed order is
+    log2(d(dt) / d(dt/2)) and the error constant d(dt) / dt.  Both states
+    are small smooth perturbations of a constant, so no step is rejected.
+    The constants were measured at dt = T/8 .. T/32; a committed increment
+    scaled by 1 + dt keeps the order on AC but moves its constant 7-fold.
+    """
+
+    @pytest.mark.parametrize("factory, mean, T, constant", [
+        (lambda: ac_model(gamma=0.01), 0.8, 2.0, 6.1e-4),
+        (lambda: ch_model(gamma=0.01), 0.7, 0.5, 7.3e-3),
+    ], ids=["AC", "CH"])
+    def test_first_order_in_dt(self, factory, mean, T, constant):
+        M = factory()
+        grid = Grid((32,), (1.0,))
+        phi0 = Field(grid, mean + 0.05 * np.cos(2 * np.pi * grid.axes()[0]))
+        steps = (8, 16, 32, 64)
+        ends = []
+        for n in steps:
+            cfg = StepperConfig(dt_init=T / n, dt_max=T / n, steady_tol=0.0)
+            traj = run(M, phi0, T, cfg)
+            assert traj.provenance["accepted"] == n
+            assert sum(traj.provenance["rejected"].values()) == 0
+            ends.append(traj.snapshots[-1][1].data)
+        d = np.array([norm_l2(Field(grid, a - b)) for a, b in zip(ends, ends[1:])])
+        orders = np.log2(d[:-1] / d[1:])
+        assert np.all((0.9 <= orders) & (orders <= 1.1)), orders
+        constants = d * np.array(steps[:-1]) / T
+        assert np.all(np.abs(constants / constant - 1.0) <= 0.15), constants
+
+
+class TestSnapshotFloor:
+    @staticmethod
+    def slots(times, t_max):
+        return set((np.asarray(times) * dynamics.SNAPSHOT_SLOTS / t_max).astype(int).tolist())
+
+    def test_short_run_keeps_a_snapshot_in_every_slot(self):
+        # a 1D analogue of a short 2D spinodal run: the dt ramp from 1e-6
+        # crosses t_max = 0.01 in 165 steps with no rejection, only the last
+        # ~15 in the trailing half, where snapshot_every = 10 alone leaves 3
+        grid = Grid((32,), (1.0,))
+        phi0 = Field(grid, 0.05 * np.cos(3 * np.pi * grid.axes()[0]))
+        cfg = StepperConfig(dt_init=1e-6, dt_max=1e-2, snapshot_every=10, steady_tol=0.0)
+        t_max = 0.01
+        traj = run(ch_model(), phi0, t_max, cfg)
+        assert sum(traj.provenance["rejected"].values()) == 0
+        snap_t = np.array([t for t, _ in traj.snapshots])
+        assert np.all(np.diff(snap_t) > 0) and np.all(np.isin(snap_t, traj.times))
+        assert np.count_nonzero(snap_t >= 0.5 * t_max) >= 8
+        assert self.slots(snap_t, t_max) == self.slots(traj.times, t_max)
+
+    def test_dense_steps_take_only_the_cadence(self):
+        # three steps of 1e-3 are shorter than a slot, 0.05 / 16
+        M = ac_model(theta=0.8, gamma=0.02)
+        grid = Grid((32,), (1.0,))
+        phi0 = Field(grid, 0.1 + 0.02 * np.cos(2 * np.pi * grid.axes()[0]))
+        cfg = StepperConfig(dt_init=1e-3, dt_max=1e-3, snapshot_every=3, steady_tol=0.0)
+        traj = run(M, phi0, 0.05, cfg)
+        assert len(traj.times) == 51
+        expected = [*traj.times[::3], traj.times[-1]]
+        assert [t for t, _ in traj.snapshots] == expected
+
+
 class TestLaggedJacobian:
     def test_2d_ch_factors_less_than_once_per_step(self, monkeypatch):
         seen = []
@@ -296,7 +386,7 @@ class TestLaggedJacobian:
             assert np.array_equal(A, ref)
         # the solve inverts the full Jacobian: the sparse part minus the mean
         # term u v^T, u = dt beta / n, v = c, that the bordered solve folds in
-        c = M.potential.d2F(x) + (ws.w if ws.w is not None else 0.0)
+        c = jacobian_diagonal_oracle(ws, x)
         b = rng(6).standard_normal(grid.n_cells)
         y = solve(b)
         J_y = ref @ y - (dt * M.beta / grid.n_cells) * (c @ y)
@@ -340,9 +430,10 @@ class TestLaggedJacobian:
         grid = Grid((16,), (1.0,))
         dt = 1e-3
         s = State(Field(grid, 0.2 + 0.01 * np.cos(2 * np.pi * grid.axes()[0])))
-        # with A^-1 = scale * I, v.A^-1 u = scale * dt * beta * mean(F''(phi)),
-        # so this stub LU puts the denominator 1 - v.A^-1 u at zero
-        c = np.asarray(M.potential.d2F(s.phi.data))
+        # with A^-1 = scale * I, v.A^-1 u = scale * dt * beta * mean(c),
+        # c = F''(phi) - theta0, so this stub LU puts the denominator
+        # 1 - v.A^-1 u at zero
+        c = np.asarray(M.potential.d2F(s.phi.data)) - M.potential.theta0
         scale = np.nan if breakdown == "nan" else 1.0 / (dt * M.beta * c.mean())
         stub = types.SimpleNamespace(solve=lambda b: scale * b)
         monkeypatch.setattr(dynamics, "spla", types.SimpleNamespace(splu=lambda A, **kw: stub))
