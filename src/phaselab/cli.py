@@ -33,6 +33,7 @@ from .errors import (
     InsufficientSnapshotsError,
     PhaselabError,
     StepFloorError,
+    ValidationError,
     WindowOutOfRangeError,
 )
 
@@ -349,7 +350,7 @@ def cmd_sweep(args) -> int:
     if section not in cfg.values or name not in cfg.values[section]:
         raise SystemExit(f"unknown sweep key {key!r}")
     base = _resolve_outdir(cfg.output_dir)
-    payloads = []
+    payloads = {}  # variant directory -> config text
     for val in values.split(","):
         variant = ExperimentConfig.from_string(cfg.canonical())
         variant.values[section][name] = convert_value(section, name, val)
@@ -357,15 +358,17 @@ def cmd_sweep(args) -> int:
         variant.values["output"]["dir"] = str(Path(cfg.output_dir) / f"{section}.{name}={val}")
         variant.validate()
         outdir = _resolve_outdir(variant.output_dir)
+        if outdir in payloads:
+            raise ValidationError(f"sweep repeats the variant directory {outdir}")
         if outdir.exists():
             raise SystemExit(f"sweep output collision: {outdir}")
-        payloads.append(variant.canonical())
+        payloads[outdir] = variant.canonical()
     if len(payloads) == 1:
-        results = [_sweep_worker(payloads[0])]
+        results = [_sweep_worker(*payloads.values())]
     else:
         with concurrent.futures.ProcessPoolExecutor(
                 max_workers=min(4, len(payloads))) as pool:
-            results = list(pool.map(_sweep_worker, payloads))
+            results = list(pool.map(_sweep_worker, payloads.values()))
     agg = dict(results)
     _write_json(base / "sweep_manifest.json", agg)
     print(json.dumps(agg, indent=2, sort_keys=True))

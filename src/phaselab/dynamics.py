@@ -40,11 +40,15 @@ The adaptive driver rejects any step that violates the one-step energy
 inequality E(phi+) + dt * D(phi+) <= E(phi) + tol_E (a NaN on either side
 violates it) and retries with half the step; trajectories that violate
 dissipation are worthless for the analysis layer, so violation is treated as
-failure, not warning.  Snapshots follow ``snapshot_every`` with a floor in
-time (``_Recorder``).  Each trial state is evaluated once
-(``physics.Evaluation``): the same evaluation feeds the gate, the recorded
-diagnostics and, once accepted, the coefficients and explicit terms that the
-next step freezes.
+failure, not warning.  Where the gate binds, its defect d = E(phi+) +
+dt D(phi+) - E(phi) is O(dt^2): while D rises even the exact flow, with
+E(t + dt) - E(t) = -int D, exceeds -dt D(t + dt) by ~dt^2 D'/2, and the
+explicit kernel lags by O(dt^2).  So dt grows no further than
+dt sqrt(GATE_SAFETY tol_E / d) rather than into the gate.  Snapshots follow
+``snapshot_every`` with a floor in time (``_Recorder``).  Each trial state is
+evaluated once (``physics.Evaluation``): the same evaluation feeds the gate,
+the recorded diagnostics and, once accepted, the coefficients and explicit
+terms that the next step freezes.
 """
 
 from __future__ import annotations
@@ -149,7 +153,8 @@ class Trajectory:
     complete: bool = True
 
     CSV_COLUMNS = ",".join(col for col, _ in DIAGNOSTICS.values())
-    RUN_COUNTS = ("accepted", "rejected", "factorizations", "wall_time_s", "stop_reason")
+    RUN_COUNTS = ("accepted", "rejected", "factorizations", "gate_limited", "wall_time_s",
+                  "stop_reason")
 
     @classmethod
     def from_series(cls, grid: g.Grid, series, **rest) -> "Trajectory":
@@ -225,9 +230,11 @@ MIN_CONTRACTION = 4.0
 # A chord iterate also resolves the step's increment (~ its initial residual) to this accuracy,
 # since near steady state the fourth-order operator amplifies commit noise past steady_tol.
 CHORD_RTOL = 1e-8
-# Step-size control: after GROW_EVERY clean steps dt grows by GROW_FACTOR (up to dt_max).
+# Step-size control: after GROW_EVERY clean steps dt grows by GROW_FACTOR (up to dt_max),
+# but never past the dt that puts the next energy-gate defect at GATE_SAFETY * tol_e.
 GROW_FACTOR = 1.2
 GROW_EVERY = 5
+GATE_SAFETY = 0.8
 # A Newton pass with a fresh LU halves its damping at most this often.
 MAX_BACKTRACKS = 40
 # The recorder keeps a snapshot in each of this many equal slots of [0, t_max]:
@@ -490,8 +497,12 @@ def run(M: ph.ModelConfig, phi0: g.Field, t_max: float, cfg: StepperConfig | Non
     Steps failing Newton, the pointwise guard, or the one-step energy
     inequality are rejected and retried with dt/2; after GROW_EVERY clean
     steps dt grows by GROW_FACTOR up to dt_max; dt_init and dt_max are capped
-    at ``solvability_bound``.  Raises StepFloorError (with the partial
-    trajectory attached) if dt_min is reached while still failing.
+    at ``solvability_bound``.  An accepted step's gate defect d, O(dt^2) where
+    the gate binds, caps the next dt at dt sqrt(GATE_SAFETY tol_e / d) (a cap
+    below dt restarts the clean count); ``provenance["gate_limited"]`` counts
+    the accepted steps whose next dt the cap lowered.  Raises StepFloorError
+    (with the partial trajectory attached) if dt_min is reached while still
+    failing.
     """
     cfg = cfg or StepperConfig()
     if np.max(np.abs(phi0.data)) > 1.0:
@@ -516,13 +527,14 @@ def run(M: ph.ModelConfig, phi0: g.Field, t_max: float, cfg: StepperConfig | Non
     dt = min(cfg.dt_init, dt_max)
     clean = 0
     accepted = 0
+    gate_limited = 0  # accepted steps whose next dt the gate defect lowered
     rejected = {"newton": 0, "bounds": 0, "energy": 0}
     dwell = 0
     stop_reason = "t_max"
 
     def finish(reason: str, complete: bool) -> Trajectory:
         out = dict(prov, accepted=accepted, rejected=dict(rejected),
-                   factorizations=ws.factorizations,
+                   factorizations=ws.factorizations, gate_limited=gate_limited,
                    wall_time_s=_time.perf_counter() - t0, stop_reason=reason)
         return Trajectory.from_series(phi0.grid, rec.rows, snapshots=rec.snapshots,
                                       provenance=out, model=M, complete=complete)
@@ -552,6 +564,7 @@ def run(M: ph.ModelConfig, phi0: g.Field, t_max: float, cfg: StepperConfig | Non
                                      finish("step_floor", False))
             continue
 
+        defect = ev.energy + dt_step * ev.dissipation - e_prev
         state = new_state
         e_prev = ev.energy
         ws.freeze(ev)
@@ -559,8 +572,12 @@ def run(M: ph.ModelConfig, phi0: g.Field, t_max: float, cfg: StepperConfig | Non
         rec.sample(state, dt_step, accepted % cfg.snapshot_every == 0, ev)
 
         clean += 1
-        if clean >= GROW_EVERY:
-            dt = min(dt * GROW_FACTOR, dt_max)
+        grow = GROW_FACTOR if clean >= GROW_EVERY else 1.0
+        pred = math.sqrt(GATE_SAFETY * cfg.tol_e / defect) if defect > 0 else math.inf
+        dt_next = min(dt * min(grow, pred), dt_max)
+        gate_limited += dt_next < min(dt * grow, dt_max)
+        dt = dt_next
+        if grow > 1 or pred < 1:
             clean = 0
 
         dissnorm = ev.grad_mu_l2 if M.dissipation_norm == "grad_mu" else ev.mu_fluct_l2

@@ -380,6 +380,16 @@ dir = {out}
         with pytest.raises(SystemExit):
             main(["sweep", str(cfg_path), "--axis", "initial.mean=0.07"])
 
+    def test_sweep_repeated_value_is_typed(self, tmp_path, capsys):
+        # both variants would write one directory: rejected before any worker starts
+        out = tmp_path / "sw"
+        cfg_path = write_cfg(tmp_path, MINIMAL_AC.format(out=out))
+        assert main(["sweep", str(cfg_path), "--axis", "initial.mean=0.1,0.05,0.1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: sweep repeats the variant directory")
+        assert str(out / "initial.mean=0.1") in err
+        assert not out.exists()
+
     def test_sweep_value_typo_is_typed(self, tmp_path, capsys):
         out = tmp_path / "sw"
         cfg_path = write_cfg(tmp_path, MINIMAL_AC.format(out=out))
@@ -501,15 +511,25 @@ class TestRunRecord:
 
         assert as_json(disk) == as_json(memory)
 
-    def test_loaded_run_keeps_the_stepper_counts(self, tmp_path):
-        cfg_path = write_cfg(tmp_path, MINIMAL_AC.format(out=tmp_path / "run")
-                             .replace("t_max = 2.0", "t_max = 0.05"))
+    # the second case is a deep quench on which the energy gate caps dt growth
+    @pytest.mark.parametrize("edits", [
+        {"t_max = 2.0": "t_max = 0.05"},
+        {"t_max = 2.0": "t_max = 0.05", "gamma = 0.02": "gamma = 0.001",
+         "amplitude = 0.3": "amplitude = 0.05", "mode = 4": "mode = 2",
+         "dt_max = 2e-2": "dt_max = 5e-2"},
+    ], ids=["ramp", "gate_bound"])
+    def test_loaded_run_keeps_the_stepper_counts(self, tmp_path, edits):
+        text = MINIMAL_AC.format(out=tmp_path / "run")
+        for old, new in edits.items():
+            text = text.replace(old, new)
+        cfg_path = write_cfg(tmp_path, text)
         assert main(["simulate", str(cfg_path)]) == 0
         cfg = parse_config(cfg_path)
         memory = run(cfg.build_model(), cfg.build_initial_field(cfg.build_grid()),
                      cfg.t_max, cfg.build_stepper()).summary()
         disk = load_run(tmp_path / "run").summary()
         assert disk["stop_reason"] == "t_max" and disk["factorizations"] >= 1
+        assert (disk["gate_limited"] > 0) == ("gamma = 0.02" in edits)
         del memory["wall_time_s"], disk["wall_time_s"]
         assert disk == memory
 

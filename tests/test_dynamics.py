@@ -300,6 +300,53 @@ class TestTimeAccuracy:
         assert np.all(np.abs(constants / constant - 1.0) <= 0.15), constants
 
 
+class TestGateController:
+    """Where the energy gate binds, its own defect sizes the next dt.
+
+    From 0.1 + 0.05 cos(2 pi x) at deep quench D rises on most early steps,
+    so the defect E+ + dt D+ - E is ~dt^2 D'/2 and the gate binds.  Halving
+    on rejection and regrowing 1.2-fold every five clean steps took 1119
+    accepted / 57 rejected steps on this run; capping growth at
+    dt sqrt(GATE_SAFETY tol_e / defect) takes 913 / 0.
+    """
+
+    T = 0.5
+
+    @pytest.fixture(scope="class")
+    def case(self):
+        grid = Grid((64,), (1.0,))
+        return ac_model(), Field(grid, 0.1 + 0.05 * np.cos(2 * np.pi * grid.axes()[0]))
+
+    @pytest.fixture(scope="class")
+    def controlled(self, case):
+        return run(*case, self.T, StepperConfig(dt_init=1e-4, dt_max=5e-2, steady_tol=0.0))
+
+    def test_counts(self, controlled):
+        prov = controlled.provenance
+        assert controlled.verify()["ok"]
+        assert prov["accepted"] == 913
+        assert sum(prov["rejected"].values()) == 0
+        assert prov["gate_limited"] == 858
+
+    def test_cap_shrinks_dt_at_most_by_sqrt_safety(self, controlled):
+        # an accepted defect is at most tol_e; the last step is cut to reach T
+        ratios = controlled.dt[2:-1] / controlled.dt[1:-2]
+        assert ratios.min() >= np.sqrt(dynamics.GATE_SAFETY) * (1.0 - 1e-9)
+        assert ratios.min() < 1.0
+
+    def test_final_energy_matches_fixed_dt(self, case, controlled):
+        ends = []
+        for n in (1000, 2000):
+            traj = run(*case, self.T, StepperConfig(dt_init=self.T / n, dt_max=self.T / n,
+                                                    steady_tol=0.0))
+            assert sum(traj.provenance["rejected"].values()) == 0
+            ends.append(traj.energy[-1])
+        reference = 2.0 * ends[1] - ends[0]  # Richardson: the scheme is first order
+        # in fewer steps than the fixed dt = T/1000, about as close to the reference
+        # (measured 9.6e-8 against 8.5e-8; halve-and-regrow: 8.1e-8)
+        assert abs(controlled.energy[-1] - reference) <= 1.3 * abs(ends[0] - reference)
+
+
 class TestSnapshotFloor:
     @staticmethod
     def slots(times, t_max):
@@ -500,7 +547,8 @@ class TestOneEvaluationPerState:
         M = ac_model()
         grid = Grid((64,), (1.0,))
         phi0 = Field(grid, 0.1 + 0.05 * np.cos(2 * np.pi * grid.axes()[0]))
-        cfg = StepperConfig(dt_init=1e-4, dt_max=5e-2, steady_tol=0.0)
+        # the first trial steps, at dt_init = dt_max, fail the energy gate
+        cfg = StepperConfig(dt_init=5e-2, dt_max=5e-2, steady_tol=0.0)
         traj = run(M, phi0, 0.2, cfg)
         prov = traj.provenance
         assert prov["rejected"]["energy"] > 0
