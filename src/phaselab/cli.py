@@ -42,6 +42,36 @@ SCHEMA_TAG = "phaselab-run-1"
 # The versions every run record depends on (the kernel FFT is numpy's).
 ENVIRONMENT = {"python": platform.python_version(), "numpy": np.__version__,
                "scipy": scipy.__version__}
+# The checkout that holds this package's source (src/phaselab/cli.py -> its root).
+SOURCE_ROOT = Path(__file__).resolve().parents[2]
+
+
+def git_revision(root: Path = SOURCE_ROOT) -> str | None:
+    """The commit checked out at root, read from its .git files without a
+    subprocess; None outside a checkout (or when the files are unreadable)."""
+    git = root / ".git"
+    try:
+        if git.is_file():  # a worktree or submodule: "gitdir: <path>"
+            git = root / git.read_text().partition("gitdir:")[2].strip()
+        head = (git / "HEAD").read_text().strip()
+        if not head.startswith("ref: "):
+            return head or None  # a detached HEAD holds the commit itself
+        ref = head[5:]
+        common = git / (git / "commondir").read_text().strip() \
+            if (git / "commondir").is_file() else git
+        for d in (git, common):
+            if (d / ref).is_file():
+                return (d / ref).read_text().strip()
+        for line in (common / "packed-refs").read_text().splitlines():
+            sha, _, name = line.partition(" ")
+            if name == ref:
+                return sha
+    except OSError:
+        pass
+    return None
+
+
+GIT_REVISION = git_revision()
 
 
 def _resolve_outdir(cfg_dir: str) -> Path:
@@ -61,6 +91,7 @@ def _manifest(outdir: Path, digest: str, files, assertions: dict, started: float
     manifest = {
         "schema": SCHEMA_TAG,
         "code_version": __version__,
+        "git_revision": GIT_REVISION,
         "config_digest": digest,
         "environment": ENVIRONMENT,
         "started_at": datetime.datetime.fromtimestamp(started).isoformat(),
@@ -361,7 +392,7 @@ def cmd_sweep(args) -> int:
         if outdir in payloads:
             raise ValidationError(f"sweep repeats the variant directory {outdir}")
         if outdir.exists():
-            raise SystemExit(f"sweep output collision: {outdir}")
+            raise ValidationError(f"sweep output collision: {outdir} exists")
         payloads[outdir] = variant.canonical()
     if len(payloads) == 1:
         results = [_sweep_worker(*payloads.values())]

@@ -7,9 +7,13 @@ One semi-implicit step solves
 with the gradient diffusion (its coefficient a frozen at the old state) and
 the whole local potential F'(phi+) - sigma1 theta0 phi+ implicit (backward
 Euler in the local potential), while the nonlocal -J*phi and the a'
-gradient-square term stay explicit.  With the concave term implicit the
-energy gate leans on tol_e only where E is nonconvex along the step; the
-price is that the implicit map is monotone only below a dt bound
+gradient-square term stay explicit.  -J*phi is extrapolated linearly from
+the last two accepted states (IMEX; Ascher, Ruuth & Wetton, SIAM J. Numer.
+Anal. 32, 1995): lagged, its O(dt^2) energy-gate defect throttled every
+nonlocal run.  Their evaluations hold both convolutions, so this costs no
+FFT; a run's first step has no history and lags it.  With the concave term
+implicit the energy gate leans on tol_e only where E is nonconvex along the
+step; the price is that the implicit map is monotone only below a dt bound
 (``solvability_bound``), at which ``run`` caps dt.  Damped Newton with
 pointwise clamping inside (-1, 1) is robust below it; the barrier of F'
 itself keeps iterates off the pure phases.
@@ -42,13 +46,12 @@ violates it) and retries with half the step; trajectories that violate
 dissipation are worthless for the analysis layer, so violation is treated as
 failure, not warning.  Where the gate binds, its defect d = E(phi+) +
 dt D(phi+) - E(phi) is O(dt^2): while D rises even the exact flow, with
-E(t + dt) - E(t) = -int D, exceeds -dt D(t + dt) by ~dt^2 D'/2, and the
-explicit kernel lags by O(dt^2).  So dt grows no further than
-dt sqrt(GATE_SAFETY tol_E / d) rather than into the gate.  Snapshots follow
-``snapshot_every`` with a floor in time (``_Recorder``).  Each trial state is
-evaluated once (``physics.Evaluation``): the same evaluation feeds the gate,
-the recorded diagnostics and, once accepted, the coefficients and explicit
-terms that the next step freezes.
+E(t + dt) - E(t) = -int D, exceeds -dt D(t + dt) by ~dt^2 D'/2.  So dt
+grows no further than dt sqrt(GATE_SAFETY tol_E / d) rather than into the
+gate.  Snapshots follow ``snapshot_every`` with a floor in time
+(``_Recorder``).  Each trial state is evaluated once (``physics.Evaluation``):
+the same evaluation feeds the gate, the recorded diagnostics and, once
+accepted, the coefficients and explicit terms that the next step freezes.
 """
 
 from __future__ import annotations
@@ -267,10 +270,13 @@ def solvability_bound(M: ph.ModelConfig, w_min: float = 0.0) -> float:
 class _StepWorkspace:
     """One run's operators, frozen at the last accepted state, and its LU.
 
-    ``freeze`` takes the evaluation of a newly accepted state: its face
-    coefficients (scaled to ``w / h^2``) and the explicit part of its split
-    chemical potential.  ``mu_of`` and ``rhs_of`` apply ``L_a`` and ``L_m``
-    matrix-free as ``-div(w * diff(x))``, and ``mu_of`` reads F' unchecked;
+    ``freeze`` takes the evaluation of a newly accepted state and the dt
+    that reached it: its face coefficients (scaled to ``w / h^2``) and the
+    explicit part of its split chemical potential, whose -J*phi
+    ``extrapolate`` carries to a step's new time level from the last two
+    states' convolutions (no FFT; lagged before there are two).  ``mu_of``
+    and ``rhs_of`` apply ``L_a`` and ``L_m`` matrix-free as
+    ``-div(w * diff(x))``, and ``mu_of`` reads F' unchecked;
     the sparse matrices are assembled only in ``jacobian_solver``.  The LU
     outlives Newton iterations and steps: ``step`` refactors only when it stops paying.
     """
@@ -289,8 +295,9 @@ class _StepWorkspace:
         self.freeze(evaluation or ph.Evaluation(M, phi_field))
         self.dt_solvable = solvability_bound(M, 0.0 if self.w is None else float(self.w.min()))
 
-    def freeze(self, ev: ph.Evaluation):
-        """Freeze the coefficients and explicit terms at a newly accepted state."""
+    def freeze(self, ev: ph.Evaluation, dt: float = 0.0):
+        """Freeze the coefficients and explicit terms at a newly accepted state,
+        reached by a step of size dt (0: a state with no history)."""
         M = self.M
         inv_h2 = self.ops.inv_h2
         self.a_face = ev.a_face if M.gamma > 0 else None
@@ -299,7 +306,17 @@ class _StepWorkspace:
         self.wm = None if self.m_face is None else M.alpha * self.m_face * inv_h2
         self.w = ev.kernel.row_sums if (M.sigma2 and M.nonlocal_consistency) else None
         # the concave term -theta0 phi moves from the explicit part to mu_of
-        self.explicit = ev.explicit + self.theta0 * ev.phi if self.theta0 else ev.explicit
+        self.lagged = ev.explicit + self.theta0 * ev.phi if self.theta0 else ev.explicit
+        # J*phi's change over the step that reached this state
+        self.trend = ev.conv - self.conv if M.sigma2 and dt else None
+        self.conv, self.dt_prev = (ev.conv if M.sigma2 else None), dt
+        self.explicit = self.lagged
+
+    def extrapolate(self, dt: float):
+        """Set the explicit term of a step of size dt: -J*phi extrapolated
+        linearly to the new time level, or lagged while there is no history."""
+        if self.trend is not None:
+            self.explicit = self.lagged - (dt / self.dt_prev) * self.trend
 
     def mu_of(self, x: np.ndarray) -> np.ndarray:
         mu = self.P._f1(x) + self.explicit  # F' unchecked: step guards every iterate
@@ -377,6 +394,7 @@ def step(M: ph.ModelConfig, s: State, dt: float, cfg: StepperConfig,
     limit = 1.0 - M.potential.eps_guard
     sqrt_vol = np.sqrt(grid.cell_volume)
     ws = _workspace if _workspace is not None else _StepWorkspace(M, s.phi)
+    ws.extrapolate(dt)
 
     x = np.clip(phi, -limit, limit)
     rhs = ws.rhs_of(ws.mu_of(x))
@@ -567,7 +585,7 @@ def run(M: ph.ModelConfig, phi0: g.Field, t_max: float, cfg: StepperConfig | Non
         defect = ev.energy + dt_step * ev.dissipation - e_prev
         state = new_state
         e_prev = ev.energy
-        ws.freeze(ev)
+        ws.freeze(ev, dt_step)
         accepted += 1
         rec.sample(state, dt_step, accepted % cfg.snapshot_every == 0, ev)
 

@@ -4,6 +4,7 @@ import json
 import os
 import platform
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -372,13 +373,17 @@ dir = {out}
         assert rc == 0
         agg = json.loads((out / "sweep_manifest.json").read_text())
         assert len(agg) == 2 and all(agg.values())
-    def test_sweep_collision_raises(self, tmp_path):
+    def test_sweep_collision_raises(self, tmp_path, capsys):
         out = tmp_path / "sw"
         cfg_path = write_cfg(tmp_path, MINIMAL_AC.format(out=out)
                              .replace("t_max = 2.0", "t_max = 0.05"))
         assert main(["sweep", str(cfg_path), "--axis", "initial.mean=0.07"]) == 0
-        with pytest.raises(SystemExit):
-            main(["sweep", str(cfg_path), "--axis", "initial.mean=0.07"])
+        capsys.readouterr()
+        # an existing variant directory is a typed input error, like a repeated one
+        assert main(["sweep", str(cfg_path), "--axis", "initial.mean=0.07"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: sweep output collision: ")
+        assert str(out / "initial.mean=0.07") in err
 
     def test_sweep_repeated_value_is_typed(self, tmp_path, capsys):
         # both variants would write one directory: rejected before any worker starts
@@ -463,6 +468,50 @@ dir = {out}
         path.write_text(json.dumps(manifest))
         assert main(["analyze", str(out)]) == 0
         assert "environment" in json.loads(path.read_text())
+
+    def test_manifest_stamps_the_git_revision(self, tmp_path):
+        if not (cli.SOURCE_ROOT / ".git").exists():
+            expected = None
+        elif shutil.which("git") is None:
+            pytest.skip("git is not installed")
+        else:
+            expected = subprocess.run(["git", "rev-parse", "HEAD"], cwd=cli.SOURCE_ROOT,
+                                      capture_output=True, text=True, check=True).stdout.strip()
+        assert cli.git_revision() == expected
+        out = tmp_path / "run"
+        text = MINIMAL_AC.format(out=out).replace("t_max = 2.0", "t_max = 0.05")
+        assert main(["simulate", str(write_cfg(tmp_path, text))]) == 0
+        assert json.loads((out / "manifest.json").read_text())["git_revision"] == expected
+
+    def test_git_revision_outside_a_checkout_is_none(self, tmp_path, monkeypatch):
+        assert cli.git_revision(tmp_path) is None
+        monkeypatch.setattr(cli, "GIT_REVISION", cli.git_revision(tmp_path))
+        out = tmp_path / "run"
+        text = MINIMAL_AC.format(out=out).replace("t_max = 2.0", "t_max = 0.05")
+        assert main(["simulate", str(write_cfg(tmp_path, text))]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert "git_revision" in manifest and manifest["git_revision"] is None
+
+    def test_git_revision_reads_refs_without_git(self, tmp_path):
+        sha, other = "1" * 40, "2" * 40
+        git = tmp_path / "repo" / ".git"
+        (git / "refs" / "heads").mkdir(parents=True)
+        (git / "HEAD").write_text("ref: refs/heads/main\n")
+        (git / "packed-refs").write_text(f"# pack-refs with: peeled\n{other} refs/heads/dev\n"
+                                         f"{sha} refs/heads/main\n")
+        assert cli.git_revision(git.parent) == sha  # packed
+        (git / "refs" / "heads" / "main").write_text(other + "\n")
+        assert cli.git_revision(git.parent) == other  # a loose ref wins
+        # a worktree's .git file names its own git dir, whose refs live in the common one
+        wt = tmp_path / "wt"
+        (git / "worktrees" / "wt").mkdir(parents=True)
+        (git / "worktrees" / "wt" / "HEAD").write_text("ref: refs/heads/dev\n")
+        (git / "worktrees" / "wt" / "commondir").write_text("../..\n")
+        wt.mkdir()
+        (wt / ".git").write_text(f"gitdir: {git / 'worktrees' / 'wt'}\n")
+        assert cli.git_revision(wt) == other
+        (git / "HEAD").write_text(sha + "\n")  # detached
+        assert cli.git_revision(git.parent) == sha
 
     def test_output_root_env_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("PHASELAB_OUTPUT_ROOT", str(tmp_path / "root"))
