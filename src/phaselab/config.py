@@ -84,16 +84,9 @@ _SCHEMA = {
         "path": (str, ""),
     },
     "time": {
-        "dt_init": (float, "1e-5"),
-        "dt_min": (float, "1e-12"),
-        "dt_max": (float, "1e-2"),
         "t_max": (float, "10.0"),
-        "snapshot_every": (int, "50"),
-        "newton_tol": (float, "1e-10"),
-        "newton_max_iter": (int, "50"),
-        "tol_e": (float, "1e-10"),
-        "steady_tol": (float, "1e-9"),
-        "steady_dwell": (int, "100"),
+        # every stepper setting, with StepperConfig's own default
+        **{f.name: (type(f.default), repr(f.default)) for f in fields(StepperConfig)},
     },
     "analysis": {
         "m_levels": (_as_floats, "0.1 1.0 10.0"),

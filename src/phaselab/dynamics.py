@@ -345,28 +345,34 @@ class _StepWorkspace:
         """Factor the Jacobian at x and keep it as the workspace's LU.
 
         The sparse part is A = I + dt (beta I - alpha L_m)(diag c - gamma L_a)
-        with c = F''(x) - sigma1 theta0 (+ w), its diagonal terms added onto
-        the diagonals of L_a and L_m, which are assembled here (at the frozen
-        coefficients) and nowhere else.  The mean subtraction adds -dt beta / n 1 c^T (L_a has
+        with c = F''(x) - sigma1 theta0 (+ w).  L_a and L_m are assembled here
+        (at the frozen coefficients) and nowhere else, on the grid's fixed
+        stencil pattern, and the diagonal terms are added in place through its
+        diagonal slots.  The mean subtraction adds -dt beta / n 1 c^T (L_a has
         zero column sums): the border col = -dt beta / n 1, row = c, corner = -1.
         """
-        M = self.M
+        M, n = self.M, self.n
         c = self.P.d2F_checked(x) - self.theta0
         if self.w is not None:
             c += self.w
-        if self.a_face is None:
-            A = sp.diags(c, format="csr")
+        if self.a_face is None:  # diag(c) on its own pattern: slot i is cell i's diagonal
+            diag = np.arange(n)
+            A = sp.csr_matrix((c, diag, np.arange(n + 1)), shape=(n, n), copy=True)
         else:
-            A = -M.gamma * g.weighted_laplacian_matrix(self.grid, self.a_face)
-            A.setdiag(A.diagonal() + c)
+            diag = self.ops.pattern.diag
+            A = g.weighted_laplacian_matrix(self.grid, self.a_face)
+            A.data *= -M.gamma
+            A.data[diag] += c
         if self.m_face is None:
             A.data = dt * (M.beta * A.data)
+            A.data[diag] += 1.0
         else:
-            drhs = -M.alpha * g.weighted_laplacian_matrix(self.grid, self.m_face)
-            drhs.setdiag(drhs.diagonal() + M.beta)
+            drhs = g.weighted_laplacian_matrix(self.grid, self.m_face)
+            drhs.data *= -M.alpha
+            drhs.data[self.ops.pattern.diag] += M.beta
             A = drhs @ A
             A.data *= dt
-        A.setdiag(A.diagonal() + 1.0)
+            A.setdiag(A.diagonal() + 1.0)
         lu = spla.splu(A.tocsc(), **linalg.SPLU_ORDERING)
         solve = lu.solve
         if M.beta > 0:
@@ -559,27 +565,23 @@ def run(M: ph.ModelConfig, phi0: g.Field, t_max: float, cfg: StepperConfig | Non
 
     while state.t < t_max - 1e-14 * max(1.0, t_max):
         dt_step = min(dt, t_max - state.t)
+        kind = cause = None
         try:
             new_state = step(M, state, dt_step, cfg, _workspace=ws)
         except (NewtonDivergenceError, BoundsViolationError) as exc:
-            kind = "newton" if isinstance(exc, NewtonDivergenceError) else "bounds"
+            kind, cause = ("newton" if isinstance(exc, NewtonDivergenceError) else "bounds"), exc
+        else:
+            ev = ph.Evaluation(M, new_state.phi)
+            # written so that a NaN energy or dissipation fails the gate
+            if not ev.energy + dt_step * ev.dissipation <= e_prev + cfg.tol_e:
+                kind = "energy"
+        if kind:
             rejected[kind] += 1
             clean = 0
             dt *= 0.5
             if dt < cfg.dt_min:
                 raise StepFloorError(f"dt fell below dt_min after {kind} failures",
-                                     finish("step_floor", False)) from exc
-            continue
-
-        ev = ph.Evaluation(M, new_state.phi)
-        # written so that a NaN energy or dissipation fails the gate
-        if not ev.energy + dt_step * ev.dissipation <= e_prev + cfg.tol_e:
-            rejected["energy"] += 1
-            clean = 0
-            dt *= 0.5
-            if dt < cfg.dt_min:
-                raise StepFloorError("dt fell below dt_min under dissipation violations",
-                                     finish("step_floor", False))
+                                     finish("step_floor", False)) from cause
             continue
 
         defect = ev.energy + dt_step * ev.dissipation - e_prev

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -147,6 +148,17 @@ class FaceField:
                 )
 
 
+class StencilPattern(NamedTuple):
+    """The CSR pattern of ``G^T diag(s) G``; being symmetric, it is also its
+    CSC pattern.  ``slots`` holds the data slots of each face's four terms,
+    face by face, and ``diag`` each cell's diagonal slot."""
+
+    indices: np.ndarray
+    indptr: np.ndarray
+    slots: np.ndarray
+    diag: np.ndarray
+
+
 class FaceOperator:
     """The physical faces of a grid and the difference operator on them.
 
@@ -159,8 +171,8 @@ class FaceOperator:
     ``div(w grad u) = -div(w / h^2 * diff(u))``.  Each face adds to one cell
     what it takes from another, so the cell sum of any ``div(v)`` telescopes:
     mass conservation is structural.  Differences are taken before scaling by
-    1/h, which keeps them exact on nearly constant fields.  The sparse ``G``
-    and ``GT`` serve only the assembly in ``weighted_laplacian_matrix``.
+    1/h, which keeps them exact on nearly constant fields.  ``pattern`` is
+    the fixed sparsity pattern that ``weighted_laplacian_matrix`` fills.
     """
 
     def __init__(self, grid: Grid):
@@ -186,14 +198,21 @@ class FaceOperator:
         self.inv_h = np.concatenate(inv_h)
         self.inv_h2 = self.inv_h * self.inv_h
         self._slots = np.concatenate(slots)
-        m = self.lo.size
-        self.G = sp.csr_matrix(
-            (np.tile([-1.0, 1.0], m), np.column_stack([self.lo, self.hi]).ravel(),
-             np.arange(0, 2 * m + 1, 2)),
-            shape=(m, grid.n_cells),
-        )
-        self.GT = self.G.T.tocsr()
         self.n_cells = grid.n_cells
+
+    @cached_property
+    def pattern(self) -> StencilPattern:
+        """The pattern of ``G^T diag(s) G``, built on first use.  A face's
+        terms are lo-lo, hi-hi, lo-hi and hi-lo, with signs + + - -."""
+        n, cells = self.n_cells, np.arange(self.n_cells + 1)
+        rows = np.column_stack([self.lo, self.hi, self.lo, self.hi]).ravel()
+        cols = np.column_stack([self.lo, self.hi, self.hi, self.lo]).ravel()
+        keys, slots = np.unique(rows * n + cols, return_inverse=True)
+        arrays = [a.astype(np.int32) for a in (keys % n, np.searchsorted(keys, cells * n), slots,
+                                               np.searchsorted(keys, cells[:-1] * (n + 1)))]
+        for a in arrays:
+            a.flags.writeable = False  # shared by every matrix assembled on it
+        return StencilPattern(*arrays)
 
     def diff(self, u: np.ndarray) -> np.ndarray:
         """``G u``: the difference of flat cell values across each face."""
@@ -244,16 +263,17 @@ def weighted_laplacian_matrix(grid: Grid, face_weights: FaceField | np.ndarray |
     """Sparse matrix of u -> div(w grad u) = -G^T diag(w / h^2) G u.
 
     ``face_weights`` is a FaceField, or w on the faces of ``grid.faces`` (an
-    array in face order, or a scalar for a constant coefficient).
+    array in face order, or a scalar for a constant coefficient).  The values
+    fill the grid's fixed ``FaceOperator.pattern`` with one ``bincount``; the
+    terms run face by face, so every entry sums its faces in ascending order,
+    as the product ``G^T (diag(s) G)`` would.
     """
     ops = grid.faces
     w = ops.gather(face_weights) if isinstance(face_weights, FaceField) else face_weights
-    # every row of G holds two entries: scale them in place of a diagonal
-    # factor, so that assembly is a single sparse product
-    G = ops.G
-    scaled = sp.csr_matrix((G.data * np.repeat(-w * ops.inv_h2, 2), G.indices, G.indptr),
-                           shape=G.shape)
-    return ops.GT @ scaled
+    p = ops.pattern
+    terms = np.multiply.outer(-w * ops.inv_h2, (1.0, 1.0, -1.0, -1.0)).ravel()
+    return sp.csr_matrix((np.bincount(p.slots, terms, p.indices.size), p.indices, p.indptr),
+                         shape=(grid.n_cells, grid.n_cells))
 
 
 def norm_hminus1(u: Field) -> float:

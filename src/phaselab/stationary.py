@@ -14,11 +14,13 @@ throttles the step).  Each trial state gets one ``physics.Evaluation``; it
 supplies the residual and the diffusion coefficient frozen for the next
 Jacobian, and in psi it takes psi as F'(phi).  A step backtracks at most
 ``MAX_BACKTRACKS`` halvings.  The bordered Jacobian is never formed densely:
-SuperLU factors only its n x n local block (the potential diagonal and the
-frozen-coefficient diffusion stencil), ``linalg.bordered_solver`` eliminates
-the border, and a kernel part, applied by FFT, leaves the full system to
-``linalg.gmres``.  A singular local block fails the step even where the
-bordered matrix is regular.  Stationary states are generally non-unique;
+SuperLU factors only its n x n local block B, ``linalg.bordered_solver``
+eliminates the border, and a kernel part, applied by FFT, leaves the full
+system to ``linalg.gmres``.  In phi, B is the frozen-coefficient diffusion
+stencil, assembled at each iterate on the grid's fixed pattern, with the
+potential diagonal added in its diagonal slots; in psi, B is diagonal.  A
+singular local block fails the step even where the bordered matrix is
+regular.  Stationary states are generally non-unique;
 which one is found depends on the initial guess, so seeds are first-class
 inputs and get recorded with the result.
 """
@@ -84,52 +86,30 @@ GMRES_MAXITER = 20      # restart cycles; more means the linear solve is failing
 MAX_BACKTRACKS = 60
 
 
-class _BorderedJacobian:
-    """Bordered stationary Jacobian [[B - K diag(t), -1], [r, 0]], B = diag(d) + S.
+def _newton_step(B: sp.csc_matrix, r, rhs, K, t):
+    """The step of the bordered Jacobian [[B - K diag(t), -1], [r, 0]] for
+    right-hand side ``rhs``, and its GMRES iteration count."""
+    n = B.shape[0]
+    try:
+        lu = spla.splu(B, **linalg.SPLU_ORDERING)
+    except RuntimeError as exc:
+        raise NewtonDivergenceError("singular stationary Jacobian") from exc
+    border = linalg.bordered_solver(lu, np.full(n, -1.0), r, 0.0)
 
-    ``B`` lives on a CSC pattern built once from ``S``; each solve writes only
-    its diagonal into ``.data``, and ``set_local`` only the values of an ``S``
-    with the same pattern, because rebuilding the pattern costs more than a
-    1D factorization.
-    """
+    def bordered(v):
+        return np.append(*border(v[:n], v[n]))
 
-    def __init__(self, S: sp.spmatrix):
-        B = S.tocsc(copy=True)
-        col = np.repeat(np.arange(B.shape[0]), np.diff(B.indptr))
-        self._diag = np.flatnonzero(B.indices == col)
-        self._base = B.data[self._diag].copy()
-        self.B = B
+    if K is None:
+        return bordered(rhs), 0
 
-    def set_local(self, S: sp.spmatrix):
-        self.B.data[:] = S.tocsc().data
-        self._base = self.B.data[self._diag].copy()
+    def matvec(v):
+        x = v[:n]
+        return np.concatenate((B @ x - v[n] - K.apply_values(t * x), [np.sum(r * x)]))
 
-    def solve(self, d, r, rhs, K, t):
-        """The Newton step for right-hand side ``rhs`` and its GMRES iteration count."""
-        B = self.B
-        n = B.shape[0]
-        B.data[self._diag] = self._base + d
-        try:
-            lu = spla.splu(B, **linalg.SPLU_ORDERING)
-        except RuntimeError as exc:
-            raise NewtonDivergenceError("singular stationary Jacobian") from exc
-        border = linalg.bordered_solver(lu, np.full(n, -1.0), r, 0.0)
-
-        def bordered(v):
-            return np.append(*border(v[:n], v[n]))
-
-        if K is None:
-            return bordered(rhs), 0
-
-        def matvec(v):
-            x = v[:n]
-            return np.concatenate((B @ x - v[n] - K.apply_values(t * x), [np.sum(r * x)]))
-
-        x, its, ok = linalg.gmres(matvec, bordered, rhs,
-                                  GMRES_RTOL, GMRES_RESTART, GMRES_MAXITER)
-        if not ok:
-            raise NewtonDivergenceError("stationary GMRES did not converge")
-        return x, its
+    x, its, ok = linalg.gmres(matvec, bordered, rhs, GMRES_RTOL, GMRES_RESTART, GMRES_MAXITER)
+    if not ok:
+        raise NewtonDivergenceError("stationary GMRES did not converge")
+    return x, its
 
 
 def solve_equilibrium(M: ph.ModelConfig, k: float, guess: g.Field,
@@ -163,7 +143,6 @@ def solve_equilibrium(M: ph.ModelConfig, k: float, guess: g.Field,
 
     z = (np.asarray(P.dF(np.clip(guess.data, -limit, limit))) if entropy
          else np.clip(guess.data, -limit + eps, limit - eps))
-    jac = _BorderedJacobian(sp.identity(n, format="csc")) if entropy else None
     ev = evaluate(z)
     mu_c = float(ev.mu.mean())
     res, rnorm = residual(ev, mu_c)
@@ -171,22 +150,23 @@ def solve_equilibrium(M: ph.ModelConfig, k: float, guess: g.Field,
     for iters in range(1, max_iter + 1):
         if rnorm <= tol and abs(res[n]) <= 1e-12:
             break
-        # the diffusion coefficient is frozen at the iterate and its a'
-        # gradient-square derivative dropped, trading quadratic convergence
-        # for robustness
-        if jac is None or not (entropy or M.diffusion.is_constant):
-            S = -M.gamma * g.weighted_laplacian_matrix(grid, ev.a_face)
-            if jac is None:
-                jac = _BorderedJacobian(S)
-            else:
-                jac.set_local(S)
         d2 = P.d2F_checked(ev.phi)
-        # t = dphi/dz scales the columns and the border row; in psi the
-        # local part's identity stands for the potential diagonal F'' t = 1
-        t = 1.0 / d2 if entropy else 1.0
-        d = shift * t if entropy else d2 + shift
+        # t = dphi/dz scales the columns and the border row
+        if entropy:
+            # in psi the potential diagonal F'' t is 1
+            t = 1.0 / d2
+            B = sp.csc_matrix((1.0 + shift * t, np.arange(n), np.arange(n + 1)), shape=(n, n))
+        else:
+            # the diffusion coefficient is frozen at the iterate and its a'
+            # gradient-square derivative dropped, trading quadratic
+            # convergence for robustness
+            t = 1.0
+            B = g.weighted_laplacian_matrix(grid, ev.a_face)
+            B.data *= -M.gamma
+            B.data[grid.faces.pattern.diag] += d2 + shift
+            B = B.T  # symmetric: its CSR arrays are its CSC
         try:
-            step, its = jac.solve(d, t / n, -res, K, t)
+            step, its = _newton_step(B, t / n, -res, K, t)
         except NewtonDivergenceError as exc:
             exc.iterations, exc.residual = iters, rnorm
             raise

@@ -18,7 +18,7 @@ from phaselab.analysis import classify_good_times
 from phaselab import cli
 from phaselab.cli import _analysis_report, load_run, main
 from phaselab.config import ExperimentConfig, parse_config
-from phaselab.dynamics import DIAGNOSTICS, Trajectory, run
+from phaselab.dynamics import DIAGNOSTICS, StepperConfig, Trajectory, run
 from phaselab.errors import ParseError, ValidationError
 
 MINIMAL_AC = """
@@ -104,6 +104,12 @@ class TestConfig:
         b = "[model]\npreset = CONSERVED_AC\n\n[grid]\nnx = 32\ndim = 1\n"
         assert (ExperimentConfig.from_string(a).digest()
                 == ExperimentConfig.from_string(b).digest())
+
+    def test_time_defaults_are_the_stepper_defaults(self):
+        cfg = ExperimentConfig.from_string("[model]\npreset = CONSERVED_AC\n")
+        assert cfg.build_stepper() == StepperConfig()
+        # the digest of the default-filled canonical form is pinned
+        assert cfg.digest() == "df79ad621a1f76a5"
 
     def test_explicit_constants(self):
         text = """

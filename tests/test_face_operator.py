@@ -5,7 +5,8 @@ positive face weights.
 """
 
 import numpy as np
-from hypothesis import given, settings
+import scipy.sparse as sp
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -48,6 +49,24 @@ def grid_field_weights(draw):
     return grid, draw(cell_values(grid, -1.0, 1.0)), draw(cell_values(grid, 0.05, 5.0))
 
 
+def incidence(ops):
+    """The signed face-cell incidence matrix G: row f holds -1 at lo[f] and +1 at hi[f]."""
+    m = ops.lo.size
+    return sp.csr_matrix((np.tile([-1.0, 1.0], m), np.column_stack([ops.lo, ops.hi]).ravel(),
+                          np.arange(0, 2 * m + 1, 2)), shape=(m, ops.n_cells))
+
+
+@st.composite
+def grid_face_weights(draw):
+    """A grid and positive weights on its faces."""
+    grid = draw(grids())
+    return grid, draw(hnp.arrays(float, grid.faces.lo.size, elements=st.floats(0.05, 5.0)))
+
+
+def ramp_weights(grid):
+    return grid, np.linspace(0.1, 3.0, grid.faces.lo.size)
+
+
 def apply(grid, w, u):
     """div(w grad u) matrix-free: -div(w / h^2 * diff(u))."""
     ops = grid.faces
@@ -60,15 +79,43 @@ def test_gather_and_bincount_apply_the_incidence_matrix(data, grid):
     ops = grid.faces
     u = data.draw(cell_values(grid, -1.0, 1.0))
     v = data.draw(hnp.arrays(float, ops.lo.size, elements=st.floats(-1e3, 1e3)))
-    assert np.array_equal(ops.diff(u), ops.G @ u)
-    ref = ops.GT @ v
+    G = incidence(ops)
+    GT = G.T.tocsr()
+    assert np.array_equal(ops.diff(u), G @ u)
+    ref = GT @ v
     if grid.dim == 1:
         # at most two faces per cell, added in the same order
         assert np.array_equal(ops.div(v), ref)
     else:
         # up to four faces per cell, summed in another order
-        scale = abs(ops.GT) @ np.abs(v)
+        scale = abs(GT) @ np.abs(v)
         assert np.all(np.abs(ops.div(v) - ref) <= 4 * np.finfo(float).eps * scale)
+
+
+# two cells along a periodic axis: the interior face and the wrap face join the same pair
+@SETTINGS
+@example(ramp_weights(Grid((2,), (1.0,), "periodic")))
+@example(ramp_weights(Grid((2, 3), (1.0, 0.7), "periodic")))
+@example(ramp_weights(Grid((4, 2), (1.3, 1.0), "periodic")))
+@given(grid_face_weights())
+def test_assembly_is_the_incidence_product_bit_for_bit(case):
+    grid, w = case
+    ops = grid.faces
+    G = incidence(ops)
+    scaled = sp.csr_matrix((G.data * np.repeat(-w * ops.inv_h2, 2), G.indices, G.indptr),
+                           shape=G.shape)
+    ref = (G.T.tocsr() @ scaled).toarray()
+    A = weighted_laplacian_matrix(grid, w)
+    assert A.toarray().tobytes() == ref.tobytes()
+    # symmetric: the same three arrays are its CSC
+    C = A.tocsc()
+    for name in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(C, name), getattr(A, name))
+    # the diagonal slots address the diagonal
+    cells = np.arange(grid.n_cells)
+    rows = np.repeat(cells, np.diff(A.indptr))
+    assert np.array_equal(rows[ops.pattern.diag], cells)
+    assert np.array_equal(A.indices[ops.pattern.diag], cells)
 
 
 @SETTINGS
@@ -104,7 +151,7 @@ def test_gather_reads_one_value_per_physical_face(grid):
     got = grid.faces.gather(FaceField(grid, comps))
     interior = sum(grid.n_cells // n * (n - 1) for n in grid.shape)
     wrap = sum(grid.n_cells // n for n in grid.shape) if grid.bc == "periodic" else 0
-    assert got.size == interior + wrap == grid.faces.G.shape[0]
+    assert got.size == interior + wrap == grid.faces.lo.size
     assert np.unique(got).size == got.size
 
 

@@ -317,6 +317,23 @@ class TestAgainstDenseOracle:
         n = guess.grid.n_cells
         assert shapes and set(shapes) == {(n, n)}
 
+    @pytest.mark.parametrize("case, per_step", [("ch_varying_diffusion", 1), ("ac", 1),
+                                                 ("nl_consistent", 0)])
+    def test_one_stencil_per_newton_step_in_phi_only(self, case, per_step, monkeypatch):
+        # phi assembles the diffusion stencil at each iterate, constant
+        # diffusion (ac) included; psi has no stencil to assemble
+        M, k, guess = _oracle_cases()[case]
+        calls, lus = [], []
+        real, splu = stationary.g.weighted_laplacian_matrix, stationary.spla.splu
+        monkeypatch.setattr(stationary.g, "weighted_laplacian_matrix",
+                            lambda grid, w: calls.append(1) or real(grid, w))
+        monkeypatch.setattr(stationary, "spla", types.SimpleNamespace(
+            splu=lambda A, **kw: lus.append(1) or splu(A, **kw)))
+        eq = solve_equilibrium(M, k, guess, tol=1e-12)
+        # the last iteration only finds the residual converged
+        assert len(lus) == eq.iterations - 1 > 1
+        assert len(calls) == per_step * len(lus)
+
     @pytest.mark.parametrize("breakdown", ["nan", "zero"])
     def test_unresolvable_border_is_typed(self, monkeypatch, breakdown):
         M, k, guess = _oracle_cases()["ac"]
@@ -334,14 +351,13 @@ class TestAgainstDenseOracle:
         # B = diag(0, 1, ..., 1) is singular although the bordered matrix is not:
         # the one case the block factorization gives up where a bordered LU would not
         n = 8
-        jac = stationary._BorderedJacobian(sp.identity(n, format="csc"))
-        d = np.zeros(n)
-        d[0] = -1.0
-        bordered = np.block([[np.diag(1.0 + d), -np.ones((n, 1))],
+        B = sp.identity(n, format="csc")
+        B.data[0] = 0.0  # an explicit zero: singular in value, not in pattern
+        bordered = np.block([[B.toarray(), -np.ones((n, 1))],
                              [np.full((1, n), 1.0 / n), np.zeros((1, 1))]])
         assert np.linalg.matrix_rank(bordered) == n + 1
         with pytest.raises(NewtonDivergenceError, match="singular stationary Jacobian"):
-            jac.solve(d, 1.0 / n, np.ones(n + 1), None, 1.0)
+            stationary._newton_step(B, 1.0 / n, np.ones(n + 1), None, 1.0)
 
     def test_singular_local_block_carries_the_newton_context(self, monkeypatch):
         M, k, guess = _oracle_cases()["ac"]
