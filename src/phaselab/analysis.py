@@ -280,6 +280,8 @@ def integrability_check(times, values, alpha_tilde: float,
     Z = np.asarray(values, dtype=float)
     if t.ndim != 1 or t.shape != Z.shape or t.size < 2:
         raise ValueError("need matching 1-D time and value arrays (>= 2 samples)")
+    if not (np.all(np.isfinite(t)) and np.all(np.isfinite(Z))):
+        raise ValueError("times and values must be finite")
     if np.any(np.diff(t) <= 0):
         raise ValueError("times must be strictly increasing")
     if np.any(Z < 0):

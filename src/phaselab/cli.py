@@ -17,6 +17,7 @@ import platform
 import resource
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +32,7 @@ from .dynamics import Trajectory, model_provenance, run
 from .errors import (
     DegenerateWindowError,
     InsufficientSnapshotsError,
+    ParseError,
     PhaselabError,
     StepFloorError,
     ValidationError,
@@ -338,33 +340,38 @@ def cmd_analyze(args) -> int:
     return 0 if manifest["pass"] else 1
 
 
+def _read_trace(path) -> tuple[np.ndarray, np.ndarray]:
+    """The first two columns (time, value) of a CSV trace with a header line."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # e.g. an empty file
+            data = np.genfromtxt(path, delimiter=",", names=True)
+    except (OSError, ValueError, Warning) as exc:
+        raise ParseError(f"trace {path}: {type(exc).__name__}: {exc}") from exc
+    if len(data.dtype.names or ()) < 2:
+        raise ParseError(f"trace {path}: need a header and two columns (time, value)")
+    return data[data.dtype.names[0]], data[data.dtype.names[1]]
+
+
 def cmd_lemmas(args) -> int:
-    if args.lemma == "degiorgi":
-        theta = an.degiorgi_threshold(args.C, args.b, args.eps)
-        out = {"threshold": theta, "C": args.C, "b": args.b, "eps": args.eps}
-        if args.y0 is not None:
-            out["y0"] = args.y0
-            out["condition_met"] = bool(args.y0 <= theta)
-            if out["condition_met"]:
-                bounds = an.degiorgi_predict(args.y0, args.C, args.b, args.eps,
-                                             np.arange(args.n + 1))
-                out["bounds"] = [float(b) for b in bounds]
-        print(json.dumps(out, indent=2, sort_keys=True))
-        return 0
-    if args.lemma == "integrability":
-        data = np.genfromtxt(args.trace, delimiter=",", names=True)
-        names = data.dtype.names
-        t, Z = data[names[0]], data[names[1]]
-        rep = an.integrability_check(t, Z, args.alpha, args.zeta)
-        out = {
-            "alpha_tilde": rep.alpha_tilde, "zeta": rep.zeta, "Y": rep.Y,
-            "hypothesis_holds": rep.hypothesis_holds,
-            "violation_time": rep.violation_time,
-            "integral": rep.integral, "checked": rep.checked,
-        }
-        print(json.dumps(out, indent=2, sort_keys=True))
-        return 0 if rep.hypothesis_holds else 1
-    raise SystemExit(f"unknown lemma {args.lemma!r}")
+    try:
+        if args.lemma == "degiorgi":
+            theta = an.degiorgi_threshold(args.C, args.b, args.eps)
+            out = {"threshold": theta, "C": args.C, "b": args.b, "eps": args.eps}
+            if args.y0 is not None:
+                out["y0"] = args.y0
+                out["condition_met"] = bool(args.y0 <= theta)
+                if out["condition_met"]:
+                    bounds = an.degiorgi_predict(args.y0, args.C, args.b, args.eps,
+                                                 np.arange(args.n + 1))
+                    out["bounds"] = [float(b) for b in bounds]
+            print(json.dumps(out, indent=2, sort_keys=True))
+            return 0
+        rep = an.integrability_check(*_read_trace(args.trace), args.alpha, args.zeta)
+    except ValueError as exc:  # arguments or a trace outside the lemma's hypotheses
+        raise ValidationError(f"lemmas {args.lemma}: {exc}") from exc
+    print(json.dumps(vars(rep), indent=2, sort_keys=True))
+    return 0 if rep.hypothesis_holds else 1
 
 
 def _sweep_worker(text: str) -> tuple[str, bool]:
@@ -377,9 +384,9 @@ def cmd_sweep(args) -> int:
     key, _, values = args.axis.partition("=")
     section, _, name = key.partition(".")
     if not values or name == "":
-        raise SystemExit("axis must look like section.key=v1,v2,...")
+        raise ValidationError(f"axis {args.axis!r} must look like section.key=v1,v2,...")
     if section not in cfg.values or name not in cfg.values[section]:
-        raise SystemExit(f"unknown sweep key {key!r}")
+        raise ValidationError(f"unknown sweep key {key!r}")
     base = _resolve_outdir(cfg.output_dir)
     payloads = {}  # variant directory -> config text
     for val in values.split(","):

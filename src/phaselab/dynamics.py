@@ -19,17 +19,17 @@ pointwise clamping inside (-1, 1) is robust below it; the barrier of F'
 itself keeps iterates off the pure phases.
 
 The Newton Jacobian is lagged (a chord iteration): a run keeps its last
-sparse LU, with the mean term as its border, across Newton iterations,
-rejected retries and accepted steps.  It refactors at the current iterate
-only when there is no LU yet, when dt has left [dt_f / 2, 2 dt_f] (dt_f
-being the dt of the last factorization), or when the previous step
-backtracked or shrank the residual less than 4-fold.  A lagged
-iterate stops only after a polish pass with a fresh LU, or at a residual of
-0.01 * newton_tol that also resolves the step's increment to CHORD_RTOL or
-sits at the roundoff floor, and never before one pass: a commit without an
-implicit solve would be an explicit step of the stiff operator.  The recorded
-``newton_iters`` therefore counts chord iterations (at least one per step),
-and ``provenance["factorizations"]`` counts the LUs.
+sparse LU, with the mean term as its border, across Newton passes, rejected
+retries and accepted steps.  A pass stalls if it shrinks the residual less
+than 4-fold (a failed chord pass too).  One rule refactors: when there is no
+LU, when dt has left [dt_f / 2, 2 dt_f] (dt_f the dt of the last LU), or when
+the previous pass backtracked or stalled above newton_tol.  One rule stops,
+after at least one pass (a commit without an implicit solve would be an
+explicit step of the stiff operator): at min(0.01 newton_tol, CHORD_RTOL r0),
+r0 the initial residual, or at a stalled pass below newton_tol, the roundoff
+floor.  ``run`` drops an LU factored off dt_max once dt settles there, so one
+LU serves the plateau.  ``newton_iters`` counts every pass, a failed chord
+pass included; ``provenance["factorizations"]`` counts the LUs.
 
 The frozen diffusion and mobility operators L_a and L_m are applied
 matrix-free, as -div(w * diff(x)) by index gather and ``bincount``, and
@@ -228,7 +228,8 @@ class Trajectory:
 
 # Reuse an LU while dt is within this factor of its dt: beyond, stiff modes stop contracting.
 DT_WINDOW = 2.0
-# Refactor after a step shrinking the residual less than this: one LU then beats more chord steps.
+# A pass shrinking the residual less than this stalls: above newton_tol the next pass refactors
+# (one LU then beats more chord passes), below it the step has reached its roundoff floor.
 MIN_CONTRACTION = 4.0
 # A chord iterate also resolves the step's increment (~ its initial residual) to this accuracy,
 # since near steady state the fourth-order operator amplifies commit noise past steady_tol.
@@ -388,12 +389,14 @@ def step(M: ph.ModelConfig, s: State, dt: float, cfg: StepperConfig,
          _workspace: _StepWorkspace | None = None) -> State:
     """One semi-implicit step; raises NewtonDivergenceError / BoundsViolationError.
 
-    Newton with a lagged Jacobian: the workspace's LU is reused (a chord
-    step) until there is none, dt leaves its window, or the last step
-    backtracked or contracted the residual less than MIN_CONTRACTION-fold;
-    then the current iterate is refactored.  A chord step that would need
-    backtracking is redone with a fresh LU.  ``newton_iters`` of the result
-    counts chord and Newton passes alike.
+    Newton with a lagged Jacobian.  A pass stalls if it shrinks the residual
+    less than MIN_CONTRACTION-fold (a failed pass: not at all).  Refactor: a
+    pass factors at its iterate when no LU ``fits`` dt or the previous pass
+    backtracked or stalled above newton_tol.  Stop: after at least one pass,
+    at min(0.01 newton_tol, CHORD_RTOL r0), r0 the initial residual, or at a
+    stalled pass below newton_tol (the roundoff floor, which flags no
+    refactor).  ``run`` drops the LU once dt settles at dt_max.
+    ``newton_iters`` counts every pass, a failed chord pass included.
     """
     grid = s.phi.grid
     phi = s.phi.data
@@ -406,62 +409,39 @@ def step(M: ph.ModelConfig, s: State, dt: float, cfg: StepperConfig,
     rhs = ws.rhs_of(ws.mu_of(x))
     resid = x - phi - dt * rhs
     rnorm = r0 = math.sqrt(np.dot(resid, resid)) * sqrt_vol
-    fresh = False     # the last pass used an LU factored at its own iterate (none yet)
-    refactor = False  # the last pass backtracked or contracted too little
-    polished = False  # the last pass was fresh and began below newton_tol
+    lam, stalled = 1.0, False  # the last pass's damping, and whether it stalled
     for iters in range(cfg.newton_max_iter + 1):
         # at least one implicit pass: committing clip(phi) + dt rhs unsolved
         # would be an explicit step of the stiff operator
-        if iters and rnorm <= cfg.newton_tol:
-            # a chord converges only linearly: its iterate must also resolve
-            # the step's own increment (CHORD_RTOL) or stall at roundoff
-            small = rnorm <= 0.01 * cfg.newton_tol and \
-                (fresh or refactor or rnorm <= CHORD_RTOL * r0)
-            if small or polished or iters >= cfg.newton_max_iter:
-                break
-        elif iters >= cfg.newton_max_iter:
+        if iters and rnorm <= cfg.newton_tol and (
+                rnorm <= min(0.01 * cfg.newton_tol, CHORD_RTOL * r0) or stalled
+                or iters == cfg.newton_max_iter):
+            break
+        if iters == cfg.newton_max_iter:
             raise NewtonDivergenceError(
                 f"no convergence in {cfg.newton_max_iter} iterations",
                 iterations=iters, residual=rnorm,
             )
-        fresh = refactor or not ws.fits(dt)
-        solve = ws.jacobian_solver(x, dt) if fresh else ws.solve
-        while True:
-            delta = solve(-resid)
-            lam = 1.0
-            accepted = False
-            best = (rnorm, x, rhs)
-            for _ in range(MAX_BACKTRACKS if fresh else 1):
-                xn = x + lam * delta
-                if np.abs(xn).max() >= limit:
-                    lam *= 0.5
-                    continue
+        fresh = lam < 1.0 or stalled or not ws.fits(dt)
+        delta = (ws.jacobian_solver(x, dt) if fresh else ws.solve)(-resid)
+        lam, r_prev = 1.0, rnorm
+        for _ in range(MAX_BACKTRACKS if fresh else 1):
+            xn = x + lam * delta
+            if np.abs(xn).max() < limit:
                 rhs_n = ws.rhs_of(ws.mu_of(xn))
                 resid_n = xn - phi - dt * rhs_n
                 rn = math.sqrt(np.dot(resid_n, resid_n)) * sqrt_vol
-                if rn < best[0]:
-                    best = (rn, xn, rhs_n)
-                if rn <= cfg.newton_tol or rn < rnorm * (1.0 - 1e-4 * lam):
-                    accepted = True
+                if rn <= cfg.newton_tol or rn < r_prev * (1.0 - 1e-4 * lam):
+                    x, rhs, resid, rnorm = xn, rhs_n, resid_n, rn
                     break
-                lam *= 0.5
-            if accepted or fresh or rnorm <= 0.01 * cfg.newton_tol:
-                break
-            solve = ws.jacobian_solver(x, dt)
-            fresh = True
-        if not accepted:
-            if rnorm <= cfg.newton_tol:
-                # the iterate already met the tolerance; roundoff blocks
-                # further decrease, so keep the best point seen
-                rnorm, x, rhs = best
-                break
-            raise NewtonDivergenceError(
-                "damping exhausted (iterate pinned at the singular barrier)",
-                iterations=iters, residual=rnorm,
-            )
-        polished = fresh and rnorm <= cfg.newton_tol
-        refactor = lam < 1.0 or rn * MIN_CONTRACTION > rnorm
-        x, rhs, resid, rnorm = xn, rhs_n, resid_n, rn
+            lam *= 0.5
+        else:  # no decrease, so the pass stalls; with a fresh LU above newton_tol, Newton fails
+            if fresh and rnorm > cfg.newton_tol:
+                raise NewtonDivergenceError(
+                    "damping exhausted (iterate pinned at the singular barrier)",
+                    iterations=iters, residual=rnorm,
+                )
+        stalled = rnorm * MIN_CONTRACTION > r_prev
 
     phi_new = phi + dt * rhs  # mass-exact commit: mean(rhs) telescopes to 0
     if not np.abs(phi_new).max() < limit:  # NaN counts as a violation
@@ -524,9 +504,10 @@ def run(M: ph.ModelConfig, phi0: g.Field, t_max: float, cfg: StepperConfig | Non
     at ``solvability_bound``.  An accepted step's gate defect d, O(dt^2) where
     the gate binds, caps the next dt at dt sqrt(GATE_SAFETY tol_e / d) (a cap
     below dt restarts the clean count); ``provenance["gate_limited"]`` counts
-    the accepted steps whose next dt the cap lowered.  Raises StepFloorError
-    (with the partial trajectory attached) if dt_min is reached while still
-    failing.
+    the accepted steps whose next dt the cap lowered.  Once dt settles at
+    dt_max, an LU factored off it is dropped, so one LU serves the plateau.
+    Raises StepFloorError (with the partial trajectory attached) if dt_min is
+    reached while still failing.
     """
     cfg = cfg or StepperConfig()
     if np.max(np.abs(phi0.data)) > 1.0:
@@ -599,6 +580,8 @@ def run(M: ph.ModelConfig, phi0: g.Field, t_max: float, cfg: StepperConfig | Non
         dt = dt_next
         if grow > 1 or pred < 1:
             clean = 0
+        if dt == dt_max != ws.dt_f:  # the next step refactors at the plateau's dt
+            ws.solve = None
 
         dissnorm = ev.grad_mu_l2 if M.dissipation_norm == "grad_mu" else ev.mu_fluct_l2
         if dissnorm < cfg.steady_tol:

@@ -262,6 +262,15 @@ class TestIntegrability:
         with pytest.raises(ValueError):
             integrability_check(t, np.ones_like(t), alpha_tilde=2.5, zeta=1.0)
 
+    @pytest.mark.parametrize("where", ["times", "values"])
+    def test_non_finite_trace_is_rejected(self, where):
+        # a NaN compares false everywhere, so it would pass the hypothesis check
+        t = np.linspace(0.0, 1.0, 11)
+        Z = np.exp(-t)
+        (t if where == "times" else Z)[5] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            integrability_check(t, Z, alpha_tilde=1.5, zeta=1.0)
+
 
 class TestLojasiewiczFit:
     def exp_synthetic(self, lam=1.0):

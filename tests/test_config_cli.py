@@ -371,6 +371,30 @@ dir = {out}
         assert out["hypothesis_holds"]
         assert out["integral"] == pytest.approx(1.0, abs=1e-6)
 
+    @pytest.mark.parametrize("trace, alpha, message", [
+        ("t,z\n0,1\n1,abc\n2,0.5\n", "1.5",
+         "lemmas integrability: times and values must be finite"),
+        ("t\n0\n1\n", "1.5", "trace "),
+        ("t,z\n0,1\n", "1.5", "lemmas integrability: need "),
+        (None, "1.5", "trace "),
+        ("", "1.5", "trace "),
+        ("t,z\n0,1\n1,0.5\n", "3", "lemmas integrability: alpha_tilde"),
+    ], ids=["non_numeric", "one_column", "one_row", "missing_file", "empty_file",
+            "alpha_out_of_range"])
+    def test_lemmas_integrability_bad_input_is_typed(self, tmp_path, capsys, trace, alpha,
+                                                      message):
+        path = tmp_path / "trace.csv"
+        if trace is not None:
+            path.write_text(trace)
+        assert main(["lemmas", "integrability", str(path), "--alpha", alpha, "--zeta", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {message}")
+        assert captured.out == ""
+
+    def test_lemmas_degiorgi_bad_base_is_typed(self, capsys):
+        assert main(["lemmas", "degiorgi", "--C", "1", "--b", "0.5", "--eps", "1"]) == 2
+        assert capsys.readouterr().err.startswith("error: lemmas degiorgi: need C > 0, b > 1")
+
     def test_sweep_isolated_outputs(self, tmp_path):
         out = tmp_path / "sweeproot"
         cfg_path = write_cfg(tmp_path, MINIMAL_AC.format(out=out)
@@ -415,6 +439,17 @@ dir = {out}
         assert main(["sweep", str(cfg_path), "--axis", axis]) == 2
         key = axis.partition("=")[0].replace(".", "] ", 1)
         assert capsys.readouterr().err.startswith(f"error: [{key} is empty")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("axis, message", [
+        ("grid.nx", "axis 'grid.nx' must look like section.key=v1,v2,..."),
+        ("grid.foo=1,2", "unknown sweep key 'grid.foo'"),
+    ], ids=["no_values", "unknown_key"])
+    def test_sweep_malformed_axis_is_typed(self, tmp_path, capsys, axis, message):
+        out = tmp_path / "sw"
+        cfg_path = write_cfg(tmp_path, MINIMAL_AC.format(out=out))
+        assert main(["sweep", str(cfg_path), "--axis", axis]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
     def test_sweep_under_relative_output_root(self, tmp_path, monkeypatch):

@@ -28,7 +28,8 @@ from phaselab import grid as g
 from phaselab import physics as ph
 from phaselab import stationary
 from phaselab.errors import NewtonDivergenceError, StepFloorError, ValidationError
-from conftest import dense_kernel, jacobian_diagonal_oracle, jacobian_matrix_oracle, noise_ic
+from conftest import (cosine_ic, dense_kernel, jacobian_diagonal_oracle, jacobian_matrix_oracle,
+                      noise_ic)
 
 
 def rng(seed=0):
@@ -454,6 +455,21 @@ class TestLaggedJacobian:
         assert steps >= 45
         assert len(seen) < steps
         assert traj.provenance["factorizations"] == len(seen)
+
+    def test_1d_ch_plateau_reuses_one_lu(self, monkeypatch):
+        # the run sits near its constant state from t ~ 1: chord passes
+        # that stall below newton_tol end the step without a fresh LU, and
+        # one LU at dt_max serves the plateau
+        seen = []
+        real = dynamics.spla.splu
+        monkeypatch.setattr(dynamics, "spla", types.SimpleNamespace(
+            splu=lambda A, **kw: seen.append(A) or real(A, **kw)))
+        grid = Grid((128,), (1.0,))
+        cfg = StepperConfig(dt_init=1e-4, dt_max=2e-2, steady_tol=0.0)
+        traj = run(ch_model(), cosine_ic(grid, 0.9, 0.05), 2.0, cfg)
+        assert traj.verify()["ok"]
+        assert len(traj.times) - 1 >= 200
+        assert len(seen) == traj.provenance["factorizations"] <= 25
 
     @pytest.mark.parametrize("factory", [ch_model, ac_model, nl_model])
     def test_stale_lu_step_matches_fresh_step(self, factory):
