@@ -306,6 +306,10 @@ class ExperimentConfig:
             f = g.load_field(iv["path"])
             if f.grid != grid:
                 raise ValidationError("initial data file grid does not match")
+            peak, mean = float(np.abs(f.data).max()), f.mean()
+            if not (peak <= 1.0 and abs(mean) < 1.0):
+                raise ValidationError(f"initial data file {iv['path']}: max |phi| = {peak:g}, "
+                                      f"mean {mean:g}; need |phi| <= 1 and a mean in (-1, 1)")
             return f
         raise ValidationError(f"unknown initial-data kind {kind!r}")
 

@@ -18,18 +18,22 @@ step; the price is that the implicit map is monotone only below a dt bound
 pointwise clamping inside (-1, 1) is robust below it; the barrier of F'
 itself keeps iterates off the pure phases.
 
-The Newton Jacobian is lagged (a chord iteration): a run keeps its last
-sparse LU, with the mean term as its border, across Newton passes, rejected
-retries and accepted steps.  A pass stalls if it shrinks the residual less
-than 4-fold (a failed chord pass too).  One rule refactors: when there is no
-LU, when dt has left [dt_f / 2, 2 dt_f] (dt_f the dt of the last LU), or when
-the previous pass backtracked or stalled above newton_tol.  One rule stops,
-after at least one pass (a commit without an implicit solve would be an
-explicit step of the stiff operator): at min(0.01 newton_tol, CHORD_RTOL r0),
-r0 the initial residual, or at a stalled pass below newton_tol, the roundoff
-floor.  ``run`` drops an LU factored off dt_max once dt settles there, so one
-LU serves the plateau.  ``newton_iters`` counts every pass, a failed chord
-pass included; ``provenance["factorizations"]`` counts the LUs.
+Newton starts from the quadratic through the last three accepted states,
+taken at the new time and clipped into the guard band (Hairer & Wanner,
+Solving ODEs II, IV.8), so its first residual is the predictor's error, not a
+whole increment; the commit and the energy gate read only the solution.  The
+Jacobian is lagged (a chord iteration): a run keeps its last sparse LU, with
+the mean term as its border, across passes, retries and steps.  A pass
+stalls if it shrinks the residual less than 4-fold (a failed chord pass too).
+One rule refactors: when there is no LU, when dt has left [dt_f / 2, 2 dt_f]
+(dt_f the dt of the last LU), or when the previous pass backtracked or
+stalled above newton_tol.  One rule stops, after at least one pass (a commit
+without an implicit solve would be an explicit step of the stiff operator):
+at min(0.01 newton_tol, CHORD_RTOL r0), r0 the size of the step's increment
+(the start's residual or its distance from phi, whichever is larger), or at
+a stalled pass below newton_tol, the roundoff floor.  ``run`` drops an LU
+factored off dt_max once dt settles there, so one LU serves the plateau.
+``newton_iters`` counts every pass; ``provenance["factorizations"]`` the LUs.
 
 The frozen diffusion and mobility operators L_a and L_m are applied
 matrix-free, as -div(w * diff(x)) by index gather and ``bincount``, and
@@ -272,10 +276,11 @@ class _StepWorkspace:
     """One run's operators, frozen at the last accepted state, and its LU.
 
     ``freeze`` takes the evaluation of a newly accepted state and the dt
-    that reached it: its face coefficients (scaled to ``w / h^2``) and the
-    explicit part of its split chemical potential, whose -J*phi
-    ``extrapolate`` carries to a step's new time level from the last two
-    states' convolutions (no FFT; lagged before there are two).  ``mu_of``
+    that reached it (0: a new history): its face coefficients (scaled to
+    ``w / h^2``), the explicit part of its split chemical potential, whose
+    -J*phi ``extrapolate`` carries to a step's new time level from the last
+    two states' convolutions (no FFT; lagged before there are two), and the
+    divided differences from which ``predict`` starts Newton.  ``mu_of``
     and ``rhs_of`` apply ``L_a`` and ``L_m`` matrix-free as
     ``-div(w * diff(x))``, and ``mu_of`` reads F' unchecked;
     the sparse matrices are assembled only in ``jacobian_solver``.  The LU
@@ -310,8 +315,21 @@ class _StepWorkspace:
         self.lagged = ev.explicit + self.theta0 * ev.phi if self.theta0 else ev.explicit
         # J*phi's change over the step that reached this state
         self.trend = ev.conv - self.conv if M.sigma2 and dt else None
+        # divided differences of the last three accepted states, for predict
+        slope = (ev.phi - self.phi) / dt if dt else None
+        self.curve = None if slope is None or self.slope is None else \
+            (slope - self.slope) / (dt + self.dt_prev)
+        self.phi, self.slope = ev.phi, slope
         self.conv, self.dt_prev = (ev.conv if M.sigma2 else None), dt
         self.explicit = self.lagged
+
+    def predict(self, dt: float) -> np.ndarray:
+        """Newton's start for a step of size dt: the quadratic through the last three
+        accepted states at the new time (linear through two, the state itself alone)."""
+        x = self.phi if self.slope is None else self.phi + dt * self.slope
+        if self.curve is not None:
+            x += (dt * (dt + self.dt_prev)) * self.curve
+        return x
 
     def extrapolate(self, dt: float):
         """Set the explicit term of a step of size dt: -J*phi extrapolated
@@ -389,29 +407,33 @@ def step(M: ph.ModelConfig, s: State, dt: float, cfg: StepperConfig,
          _workspace: _StepWorkspace | None = None) -> State:
     """One semi-implicit step; raises NewtonDivergenceError / BoundsViolationError.
 
-    Newton with a lagged Jacobian.  A pass stalls if it shrinks the residual
-    less than MIN_CONTRACTION-fold (a failed pass: not at all).  Refactor: a
-    pass factors at its iterate when no LU ``fits`` dt or the previous pass
+    Newton with a lagged Jacobian, started from ``ws.predict(dt)`` (from phi
+    without a workspace); the commit phi + dt rhs(x) and the gate read only
+    the converged x.  A pass stalls if it shrinks the residual less than
+    MIN_CONTRACTION-fold (a failed pass: not at all).  Refactor: a pass
+    factors at its iterate when no LU ``fits`` dt or the previous pass
     backtracked or stalled above newton_tol.  Stop: after at least one pass,
-    at min(0.01 newton_tol, CHORD_RTOL r0), r0 the initial residual, or at a
-    stalled pass below newton_tol (the roundoff floor, which flags no
-    refactor).  ``run`` drops the LU once dt settles at dt_max.
-    ``newton_iters`` counts every pass, a failed chord pass included.
+    at min(0.01 newton_tol, CHORD_RTOL r0), r0 = max(|resid(x0)|, |x0 - phi|)
+    the size of the step's increment, or at a stalled pass below newton_tol
+    (the roundoff floor, which flags no refactor).  ``newton_iters`` counts
+    every pass, a failed chord pass included.
     """
     grid = s.phi.grid
     phi = s.phi.data
     limit = 1.0 - M.potential.eps_guard
-    sqrt_vol = np.sqrt(grid.cell_volume)
+    sqrt_vol = math.sqrt(grid.cell_volume)
     ws = _workspace if _workspace is not None else _StepWorkspace(M, s.phi)
     ws.extrapolate(dt)
 
-    x = np.clip(phi, -limit, limit)
+    x = ws.predict(dt).clip(-limit, limit)
     rhs = ws.rhs_of(ws.mu_of(x))
-    resid = x - phi - dt * rhs
-    rnorm = r0 = math.sqrt(np.dot(resid, resid)) * sqrt_vol
+    inc = x - phi
+    resid = inc - dt * rhs
+    rnorm = math.sqrt(np.dot(resid, resid)) * sqrt_vol
+    r0 = max(rnorm, math.sqrt(np.dot(inc, inc)) * sqrt_vol)  # the increment's size
     lam, stalled = 1.0, False  # the last pass's damping, and whether it stalled
     for iters in range(cfg.newton_max_iter + 1):
-        # at least one implicit pass: committing clip(phi) + dt rhs unsolved
+        # at least one implicit pass: committing phi + dt rhs(x0) unsolved
         # would be an explicit step of the stiff operator
         if iters and rnorm <= cfg.newton_tol and (
                 rnorm <= min(0.01 * cfg.newton_tol, CHORD_RTOL * r0) or stalled
@@ -470,6 +492,7 @@ class _Recorder:
 
     def sample(self, state: State, dt: float, snapshot: bool, ev: ph.Evaluation):
         phi = state.phi
+        lo, hi = float(phi.data.min()), float(phi.data.max())
         values = {
             "times": state.t,
             "mass": phi.mean(),
@@ -477,9 +500,9 @@ class _Recorder:
             "dissipation": ev.dissipation,
             "grad_mu_l2": ev.grad_mu_l2,
             "mu_fluct_l2": ev.mu_fluct_l2,
-            "phi_min": float(phi.data.min()),
-            "phi_max": float(phi.data.max()),
-            "sep_margin": 1.0 - float(np.abs(phi.data).max()),
+            "phi_min": lo,
+            "phi_max": hi,
+            "sep_margin": 1.0 - max(-lo, hi),
             "dt": dt,
             "newton_iters": state.newton_iters,
         }

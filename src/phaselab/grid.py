@@ -258,21 +258,28 @@ def norm_h1_semi(u: Field) -> float:
     return float(np.sqrt(np.dot(gu, gu) * u.grid.cell_volume))
 
 
-def weighted_laplacian_matrix(grid: Grid, face_weights: FaceField | np.ndarray | float
-                              ) -> sp.csr_matrix:
-    """Sparse matrix of u -> div(w grad u) = -G^T diag(w / h^2) G u.
+def weighted_laplacian_values(grid: Grid, face_weights: FaceField | np.ndarray | float
+                              ) -> np.ndarray:
+    """The stored values of ``weighted_laplacian_matrix`` on ``grid.faces.pattern``.
 
     ``face_weights`` is a FaceField, or w on the faces of ``grid.faces`` (an
-    array in face order, or a scalar for a constant coefficient).  The values
-    fill the grid's fixed ``FaceOperator.pattern`` with one ``bincount``; the
-    terms run face by face, so every entry sums its faces in ascending order,
-    as the product ``G^T (diag(s) G)`` would.
+    array in face order, or a scalar for a constant coefficient).  One
+    ``bincount`` fills the pattern; the terms run face by face, so every entry
+    sums its faces in ascending order, as the product ``G^T (diag(s) G)`` would.
     """
     ops = grid.faces
     w = ops.gather(face_weights) if isinstance(face_weights, FaceField) else face_weights
     p = ops.pattern
     terms = np.multiply.outer(-w * ops.inv_h2, (1.0, 1.0, -1.0, -1.0)).ravel()
-    return sp.csr_matrix((np.bincount(p.slots, terms, p.indices.size), p.indices, p.indptr),
+    return np.bincount(p.slots, terms, p.indices.size)
+
+
+def weighted_laplacian_matrix(grid: Grid, face_weights: FaceField | np.ndarray | float
+                              ) -> sp.csr_matrix:
+    """Sparse matrix of u -> div(w grad u) = -G^T diag(w / h^2) G u, with
+    ``face_weights`` as for ``weighted_laplacian_values``."""
+    p = grid.faces.pattern
+    return sp.csr_matrix((weighted_laplacian_values(grid, face_weights), p.indices, p.indptr),
                          shape=(grid.n_cells, grid.n_cells))
 
 

@@ -25,17 +25,18 @@ def bordered_solver(lu, col, row, corner):
     A scalar ``row`` stands for a constant row.  ``solve(b, c=0.0)`` returns ``(x, s)``.
     """
     u = lu.solve(col)
+    row = np.full(u.shape, row) if np.ndim(row) == 0 else row
     terms = row * u
-    ru = float(np.sum(terms))
+    ru = float(terms.sum())
     sigma = corner - ru
     if not (np.isfinite(sigma)
-            and abs(sigma) > DENOM_FLOOR * (abs(corner) + float(np.sum(np.abs(terms))))):
+            and abs(sigma) > DENOM_FLOOR * (abs(corner) + float(np.abs(terms).sum()))):
         raise NewtonDivergenceError(f"Schur complement {sigma!r} of the border "
                                     f"(row . A^-1 col = {ru!r}) is not resolvable")
 
     def solve(b, c=0.0):
         y = lu.solve(b)
-        s = (c - float(np.sum(row * y))) / sigma
+        s = (c - float(np.dot(row, y))) / sigma
         return y - s * u, s
 
     return solve

@@ -22,6 +22,7 @@ invariant battery.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -35,11 +36,7 @@ PRESET_AC = "CONSERVED_AC"
 PRESET_NONLOCAL = "NONLOCAL_CH"
 
 _SAMPLE = np.linspace(-1 + 1e-9, 1 - 1e-9, 4001)
-
-
-def _xlogx(x):
-    """x log x on x >= 0, with 0 log 0 = 0 (log is taken of 1 there)."""
-    return x * np.log(np.where(x > 0.0, x, 1.0))
+_BELOW_ONE = np.nextafter(1.0, 0.0)
 
 
 class PotentialSpec:
@@ -82,10 +79,17 @@ class PotentialSpec:
         return cls(theta, theta0, "custom", eps_guard, f0, f1, f2)
 
     def _log0(self, s):
-        return 0.5 * self.theta * (_xlogx(1.0 + s) + _xlogx(1.0 - s))
+        # 2F/theta = 2 a T + log1p(-a^2) below a = |s| = 1/2, 2 log1p(a) - 2 (1 - a) T above
+        # (T = atanh(a)): neither cancels on its side, as (1+s) ln(1+s) + (1-s) ln(1-s) does
+        # near 0.  T is taken just below 1, so F(+-1) = theta ln 2 exactly and silently.
+        a = np.abs(s)
+        far = a >= 0.5
+        T = np.arctanh(np.minimum(a, _BELOW_ONE))
+        return 0.5 * self.theta * (2.0 * (a - far) * T
+                                   + (1.0 + far) * np.log1p(np.where(far, a, -a * a)))
 
     def _log1(self, s):
-        return 0.5 * self.theta * np.log((1.0 + s) / (1.0 - s))
+        return self.theta * np.arctanh(s)
 
     def _log2(self, s):
         return self.theta / ((1.0 - s) * (1.0 + s))
@@ -390,6 +394,17 @@ def nonlocal_cahn_hilliard(potential, mobility, kernel, alpha=1.0,
                        preset=PRESET_NONLOCAL)
 
 
+class _once(cached_property):
+    """``cached_property`` without the lock that Python 3.11 takes on each first
+    read: the value is computed once and kept as a plain attribute."""
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.attrname] = self.func(obj)
+        return value
+
+
 class Evaluation:
     """The discrete quantities of one state, each computed at most once.
 
@@ -421,51 +436,49 @@ class Evaluation:
             return spec.constant_value
         return self.ops.average(np.asarray(spec(self.phi)))
 
-    @cached_property
+    @_once
     def a_face(self) -> np.ndarray | float:
         return self._faces(self.M.diffusion)
 
-    @cached_property
+    @_once
     def m_face(self) -> np.ndarray | float:
         return self._faces(self.M.mobility)
 
-    @cached_property
+    @_once
     def grad(self) -> np.ndarray:
         return self.ops.grad(self.phi)
 
-    @cached_property
+    @_once
     def grad_sq(self) -> np.ndarray:
         return self.ops.cell_sq(self.grad)
 
-    @cached_property
+    @_once
     def kernel(self) -> g.KernelMatrix:
         return self.M.kernel.matrix(self.grid)
 
-    @cached_property
+    @_once
     def conv(self) -> np.ndarray:
         return self.kernel.apply_values(self.phi)
 
-    @cached_property
-    def explicit(self) -> np.ndarray:
-        """The explicit part of the split chemical potential: the a' gradient
-        square, -sigma1 theta0 phi and -sigma2 J*phi."""
+    @_once
+    def explicit(self) -> np.ndarray | float:
+        """The explicit part of the split chemical potential: -sigma1 theta0
+        phi, the a' gradient square and -sigma2 J*phi (0.0 if all vanish)."""
         M = self.M
-        out = np.zeros(self.phi.size)
+        out = -M.potential.theta0 * self.phi if M.sigma1 else 0.0
         if M.gamma > 0 and not M.diffusion.is_constant:
             da = np.asarray(M.diffusion.dfn(self.phi))
-            if np.any(da):
-                out += M.gamma * 0.5 * da * self.grad_sq
-        if M.sigma1:
-            out -= M.potential.theta0 * self.phi
+            if da.any():
+                out = M.gamma * 0.5 * da * self.grad_sq + out
         if M.sigma2:
-            out -= self.conv
+            out = out - self.conv
         return out
 
-    @cached_property
+    @_once
     def dF(self) -> np.ndarray:
         return np.asarray(self.M.potential.dF(self.phi))
 
-    @cached_property
+    @_once
     def mu(self) -> np.ndarray:
         M = self.M
         mu = self.dF + self.explicit
@@ -475,12 +488,12 @@ class Evaluation:
             mu += self.kernel.row_sums * self.phi
         return mu
 
-    @cached_property
+    @_once
     def energy(self) -> float:
         M = self.M
         P = M.potential
         phi = self.phi
-        E = float(np.sum(P.F(phi)))
+        E = float(P.F(phi).sum())
         if M.sigma1:
             E -= 0.5 * P.theta0 * float(np.dot(phi, phi))
         if M.gamma > 0:
@@ -490,15 +503,15 @@ class Evaluation:
                         - float(np.dot(self.conv, phi)))
         return E * self.grid.cell_volume
 
-    @cached_property
+    @_once
     def grad_mu(self) -> np.ndarray:
         return self.ops.grad(self.mu)
 
-    @cached_property
+    @_once
     def mu_fluct(self) -> np.ndarray:
         return self.mu - self.mu.sum() / self.mu.size
 
-    @cached_property
+    @_once
     def dissipation(self) -> float:
         M = self.M
         D = 0.0
@@ -508,13 +521,13 @@ class Evaluation:
             D += M.beta * float(np.dot(self.mu_fluct, self.mu_fluct))
         return D * self.grid.cell_volume
 
-    @cached_property
+    @_once
     def grad_mu_l2(self) -> float:
-        return float(np.sqrt(np.dot(self.grad_mu, self.grad_mu) * self.grid.cell_volume))
+        return math.sqrt(np.dot(self.grad_mu, self.grad_mu) * self.grid.cell_volume)
 
-    @cached_property
+    @_once
     def mu_fluct_l2(self) -> float:
-        return float(np.sqrt(np.dot(self.mu_fluct, self.mu_fluct) * self.grid.cell_volume))
+        return math.sqrt(np.dot(self.mu_fluct, self.mu_fluct) * self.grid.cell_volume)
 
 
 def grad_sq_cell(phi: g.Field) -> np.ndarray:

@@ -104,7 +104,7 @@ def _newton_step(B: sp.csc_matrix, r, rhs, K, t):
 
     def matvec(v):
         x = v[:n]
-        return np.concatenate((B @ x - v[n] - K.apply_values(t * x), [np.sum(r * x)]))
+        return np.concatenate((B @ x - v[n] - K.apply_values(t * x), [(r * x).sum()]))
 
     x, its, ok = linalg.gmres(matvec, bordered, rhs, GMRES_RTOL, GMRES_RESTART, GMRES_MAXITER)
     if not ok:
@@ -134,7 +134,7 @@ def solve_equilibrium(M: ph.ModelConfig, k: float, guess: g.Field,
         """The state of unknown z, or None where z leaves the guard band."""
         if entropy:
             return ph.Evaluation(M, g.Field(grid, P.inverse_dF(z)), dF=z)
-        return ph.Evaluation(M, g.Field(grid, z)) if np.max(np.abs(z)) < limit else None
+        return ph.Evaluation(M, g.Field(grid, z)) if np.abs(z).max() < limit else None
 
     def residual(ev, mu_c):
         res = np.append(ev.mu - mu_c, float(ev.phi.mean()) - k)
@@ -161,10 +161,11 @@ def solve_equilibrium(M: ph.ModelConfig, k: float, guess: g.Field,
             # gradient-square derivative dropped, trading quadratic
             # convergence for robustness
             t = 1.0
-            B = g.weighted_laplacian_matrix(grid, ev.a_face)
-            B.data *= -M.gamma
-            B.data[grid.faces.pattern.diag] += d2 + shift
-            B = B.T  # symmetric: its CSR arrays are its CSC
+            p = grid.faces.pattern  # symmetric: its CSR arrays are its CSC
+            values = g.weighted_laplacian_values(grid, ev.a_face)
+            values *= -M.gamma
+            values[p.diag] += d2 + shift
+            B = sp.csc_matrix((values, p.indices, p.indptr), shape=(n, n))
         try:
             step, its = _newton_step(B, t / n, -res, K, t)
         except NewtonDivergenceError as exc:

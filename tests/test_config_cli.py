@@ -187,6 +187,20 @@ sigma2 = 0
             f"error: snapshot {snap}: malformed snapshot header '4 0.25'")
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("values, found", [
+        ([0.1] * 63 + [1.5], "max |phi| = 1.5, mean 0.121875"),
+        ([1.0] * 64, "max |phi| = 1, mean 1"),
+    ])
+    def test_out_of_range_initial_snapshot_is_typed(self, tmp_path, capsys, values, found):
+        snap = tmp_path / "init.dat"
+        save_field(snap, Field(Grid((64,), (1.0,)), np.array(values)))
+        text = MINIMAL_AC.format(out=tmp_path / "run").replace(
+            "kind = cosine-perturbation", f"kind = file\npath = {snap}")
+        assert main(["simulate", str(write_cfg(tmp_path, text))]) == 2
+        assert capsys.readouterr().err == (f"error: initial data file {snap}: {found}; "
+                                           "need |phi| <= 1 and a mean in (-1, 1)\n")
+        assert not (tmp_path / "run").exists()
+
     @pytest.mark.parametrize("line, empty", [
         ("dt_init = 1e-4", "[time] dt_init"),
         ("nx = 64", "[grid] nx"),

@@ -330,6 +330,11 @@ class TestGateController:
         assert sum(prov["rejected"].values()) == 0
         assert prov["gate_limited"] == 858
 
+    def test_predicted_start_takes_one_pass_per_step(self, controlled):
+        # started from the old state, this run takes 2.34 chord passes per step;
+        # from the quadratic through the last three accepted states, one each
+        assert np.mean(controlled.newton_iters[1:]) <= 1.1
+
     def test_cap_shrinks_dt_at_most_by_sqrt_safety(self, controlled):
         # an accepted defect is at most tol_e; the last step is cut to reach T
         ratios = controlled.dt[2:-1] / controlled.dt[1:-2]
@@ -405,6 +410,70 @@ class TestExtrapolatedKernelTerm:
         # reference (measured 102 steps, 1.5e-6 against 7.9e-7)
         assert adaptive.provenance["accepted"] <= 110
         assert abs(adaptive.energy[-1] - reference) <= 2.5 * abs(ends[0] - reference)
+
+
+class TestPredictor:
+    """Newton starts from the polynomial through the last three accepted states."""
+
+    GRID = Grid((32,), (1.0,))
+
+    def field(self, t):
+        # quadratic in time at every cell, inside the guard band for t in [0, 0.1]
+        x = self.GRID.axes()[0]
+        return Field(self.GRID, 0.1 + 0.3 * np.cos(2 * np.pi * x) * (1 + 2 * t - 5 * t * t))
+
+    def workspace(self, times):
+        M = ac_model()
+        ws = dynamics._StepWorkspace(M, self.field(times[0]))
+        for t0, t1 in zip(times, times[1:]):
+            ws.freeze(ph.Evaluation(M, self.field(t1)), t1 - t0)
+        return ws
+
+    def test_quadratic_in_time_is_reproduced_with_unequal_steps(self):
+        ws = self.workspace([0.0, 0.013, 0.0171, 0.0302])
+        for dt in (1e-4, 7e-3, 0.05):
+            np.testing.assert_allclose(ws.predict(dt), self.field(0.0302 + dt).data,
+                                       rtol=0, atol=1e-14)
+
+    def test_linear_through_two_states_and_the_state_alone(self):
+        ws = self.workspace([0.02])
+        assert ws.predict(3e-3) is ws.phi
+        ws = self.workspace([0.02, 0.025])
+        slope = (self.field(0.025).data - self.field(0.02).data) / 5e-3
+        np.testing.assert_allclose(ws.predict(3e-3), self.field(0.025).data + 3e-3 * slope,
+                                   rtol=0, atol=1e-15)
+        # a new history starts at freeze(ev, 0.0)
+        ws.freeze(ph.Evaluation(ac_model(), self.field(0.03)))
+        assert ws.predict(3e-3) is ws.phi
+
+    def test_a_rejected_trial_leaves_the_history_unchanged(self, monkeypatch):
+        # trial 10 is forced to fail after its solve; its retry at dt/2 must
+        # start from the quadratic through accepted states 7, 8 and 9
+        starts, trials = [], []
+        predict, real_step = dynamics._StepWorkspace.predict, dynamics.step
+
+        def recorded(ws, dt):
+            starts.append(predict(ws, dt))
+            return starts[-1]
+
+        def flaky(*args, **kw):
+            trials.append(real_step(*args, **kw))
+            if len(trials) == 10:
+                raise NewtonDivergenceError("forced rejection")
+            return trials[-1]
+
+        monkeypatch.setattr(dynamics._StepWorkspace, "predict", recorded)
+        monkeypatch.setattr(dynamics, "step", flaky)
+        grid = Grid((64,), (1.0,))
+        traj = run(ac_model(), Field(grid, 0.1 + 0.05 * np.cos(2 * np.pi * grid.axes()[0])), 0.01,
+                   StepperConfig(dt_init=1e-4, dt_max=5e-2, snapshot_every=1, steady_tol=0.0))
+        assert traj.provenance["rejected"]["newton"] == 1
+        (t0, p0), (t1, p1), (t2, p2) = ((t, f.data) for t, f in traj.snapshots[7:10])
+        dt = traj.times[10] - t2
+        assert dt == pytest.approx(0.5 * (trials[9].t - t2), rel=1e-12)
+        d1, d0 = (p2 - p1) / (t2 - t1), (p1 - p0) / (t1 - t0)
+        expected = p2 + dt * d1 + dt * (dt + t2 - t1) * (d1 - d0) / (t2 - t0)
+        np.testing.assert_allclose(starts[10], expected, rtol=0, atol=1e-14)
 
 
 class TestSnapshotFloor:

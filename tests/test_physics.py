@@ -64,6 +64,19 @@ class TestPotential:
         size = 0.5 * theta * (np.abs(a) + np.abs(b))
         assert np.all(np.abs(P.F(s) - 0.5 * theta * (a + b)) <= 1e-15 * size)
 
+    @pytest.mark.parametrize("theta", [0.3, 2.0])
+    def test_F_near_zero_matches_its_taylor_series(self, theta):
+        # theta/2 * sum_k s^(2k) / (k (2k - 1)), summed exactly in rationals and
+        # rounded once; (1+s) ln(1+s) + (1-s) ln(1-s) is ~1e-13 off, relatively, at s = 1e-3
+        from fractions import Fraction
+
+        P = PotentialSpec.logarithmic(theta, theta + 1.0)
+        s = np.geomspace(1e-8, 1e-2, 301)
+        s = np.concatenate([s, -s])
+        ref = np.array([float(Fraction(theta) / 2 * sum(Fraction(x) ** (2 * k) / (k * (2 * k - 1))
+                                                         for k in range(1, 8))) for x in s])
+        assert np.all(np.abs(P.F(s) - ref) <= 4 * np.spacing(ref))
+
     def test_first_derivative_closed_form(self):
         P = PotentialSpec.logarithmic(1.0, 2.0)
         assert P.dF(0.5) == pytest.approx(0.5 * np.log(3.0), abs=1e-14)

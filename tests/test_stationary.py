@@ -324,8 +324,8 @@ class TestAgainstDenseOracle:
         # diffusion (ac) included; psi has no stencil to assemble
         M, k, guess = _oracle_cases()[case]
         calls, lus = [], []
-        real, splu = stationary.g.weighted_laplacian_matrix, stationary.spla.splu
-        monkeypatch.setattr(stationary.g, "weighted_laplacian_matrix",
+        real, splu = stationary.g.weighted_laplacian_values, stationary.spla.splu
+        monkeypatch.setattr(stationary.g, "weighted_laplacian_values",
                             lambda grid, w: calls.append(1) or real(grid, w))
         monkeypatch.setattr(stationary, "spla", types.SimpleNamespace(
             splu=lambda A, **kw: lus.append(1) or splu(A, **kw)))
