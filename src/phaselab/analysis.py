@@ -375,8 +375,7 @@ def lojasiewicz_fit(traj, gts: GoodTimeSet, e_inf="auto",
 @dataclass
 class OmegaLimitEstimate:
     rep_times: np.ndarray
-    l2_distances: np.ndarray        # pairwise, condensed square matrices
-    hminus1_distances: np.ndarray
+    l2_distances: np.ndarray        # pairwise, as a square matrix
     dispersion: float               # max pairwise L2 distance
     singleton: bool
     nearest_eq: object | None = None
@@ -424,12 +423,10 @@ def omega_limit_estimate(traj, gts: GoodTimeSet | None, n_reps: int, tol: float,
 
     m = len(reps)
     l2 = np.zeros((m, m))
-    hm1 = np.zeros((m, m))
     for i in range(m):
         for j in range(i + 1, m):
             diff = g.Field(traj.grid, reps[i][1].data - reps[j][1].data)
             l2[i, j] = l2[j, i] = g.norm_l2(diff)
-            hm1[i, j] = hm1[j, i] = g.norm_hminus1(diff)
     dispersion = float(l2.max())
     singleton = dispersion < tol
 
@@ -449,6 +446,6 @@ def omega_limit_estimate(traj, gts: GoodTimeSet | None, n_reps: int, tol: float,
         except PhaselabError:
             nearest = None
     return OmegaLimitEstimate(
-        np.array([t for t, _ in reps]), l2, hm1, dispersion, singleton,
+        np.array([t for t, _ in reps]), l2, dispersion, singleton,
         nearest, nearest_distance, nearest_delta,
     )

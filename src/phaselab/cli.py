@@ -196,6 +196,7 @@ def cmd_equilibrium(args) -> int:
             # stationary states are guess-dependent; a seed landing outside
             # every basin is recorded, not fatal, as long as some seed works
             results.append({"seed_id": seed_id, "error": str(exc)})
+            print(f"equilibrium: seed {seed_id} failed: {exc}")
             continue
         converged += 1
         print(f"equilibrium: seed {seed_id} mu_inf={eq.mu_inf:.12g} delta={eq.delta:.6g} "

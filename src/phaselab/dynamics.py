@@ -5,8 +5,9 @@ One semi-implicit step solves
     (phi+ - phi) / dt = alpha div(m(phi) grad mu+) - beta (mu+ - mean(mu+))
 
 with the gradient diffusion (its coefficient a frozen at the old state) and
-the whole local potential F'(phi+) - sigma1 theta0 phi+ implicit (backward
-Euler in the local potential), while the nonlocal -J*phi and the a'
+the whole local part F'(phi+) + c phi+ implicit (backward Euler in the local
+potential; c is ``physics.linear_coefficient``, -sigma1 theta0 plus J*1 for
+the consistent nonlocal term), while the nonlocal -J*phi and the a'
 gradient-square term stay explicit.  -J*phi is extrapolated linearly from
 the last two accepted states (IMEX; Ascher, Ruuth & Wetton, SIAM J. Numer.
 Anal. 32, 1995): lagged, its O(dt^2) energy-gate defect throttled every
@@ -37,8 +38,10 @@ factored off dt_max once dt settles there, so one LU serves the plateau.
 
 The frozen diffusion and mobility operators L_a and L_m are applied
 matrix-free, as -div(w * diff(x)) by index gather and ``bincount``, and
-assembled only when the Jacobian is factored.  Newton reads F' unchecked
-(``step`` keeps max|x| < 1 - eps_guard): its evaluation checks each state.
+assembled only when the Jacobian I + dt R B is factored, both factors by
+``grid.local_block``: R = beta I - alpha L_m, B = diag(F'' + c) - gamma L_a.
+Newton reads F' unchecked (``step`` keeps max|x| < 1 - eps_guard): its
+evaluation checks each state.
 
 Mass is conserved exactly: the committed update is phi + dt * RHS(phi+),
 whose discrete mean vanishes to roundoff (the flux form telescopes; the
@@ -65,7 +68,6 @@ import time as _time
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import grid as g
@@ -250,16 +252,18 @@ MAX_BACKTRACKS = 40
 SNAPSHOT_SLOTS = 16
 
 
-def solvability_bound(M: ph.ModelConfig, w_min: float = 0.0) -> float:
-    """The dt below which the implicit step map is monotone (inf: every dt).
+def solvability_bound(M: ph.ModelConfig, grid: g.Grid) -> float:
+    """The dt below which the implicit step map on grid is monotone (inf: every dt).
 
-    The Jacobian's local part F'' - sigma1 theta0 (+ w) is at least -kappa,
-    kappa = sigma1 theta0 - theta - min w; on a mode where -L has eigenvalue
-    lam the map stays positive while dt (beta + alpha m lam)(kappa - gamma a
-    lam) < 1, for every lam once dt (beta kappa + alpha m_max kappa^2 /
-    (4 gamma a_min)) < 1.  With alpha > 0 and gamma = 0 no dt does.
+    The step Jacobian is I + dt R B, both factors from ``grid.local_block``:
+    R = beta I - alpha L_m and B = diag(F'' + c) - gamma L_a, c the
+    ``physics.linear_coefficient``.  B's diagonal is at least -kappa,
+    kappa = -theta - min c; on a mode where -L has eigenvalue lam the map
+    stays positive while dt (beta + alpha m lam)(kappa - gamma a lam) < 1, for
+    every lam once dt (beta kappa + alpha m_max kappa^2 / (4 gamma a_min)) < 1.
+    With alpha > 0 and gamma = 0 no dt does.
     """
-    kappa = M.sigma1 * M.potential.theta0 - M.potential.theta - w_min
+    kappa = -M.potential.theta - float(np.min(ph.linear_coefficient(M, grid)))
     if kappa <= 0:
         return math.inf
     rate = M.beta * kappa
@@ -277,7 +281,7 @@ class _StepWorkspace:
 
     ``freeze`` takes the evaluation of a newly accepted state and the dt
     that reached it (0: a new history): its face coefficients (scaled to
-    ``w / h^2``), the explicit part of its split chemical potential, whose
+    ``w / h^2``), the explicit part of its chemical potential, whose
     -J*phi ``extrapolate`` carries to a step's new time level from the last
     two states' convolutions (no FFT; lagged before there are two), and the
     divided differences from which ``predict`` starts Newton.  ``mu_of``
@@ -297,9 +301,9 @@ class _StepWorkspace:
         self.solve = None
         self.dt_f = 0.0
         self.factorizations = 0
-        self.theta0 = M.sigma1 * self.P.theta0
+        self.linear = ph.linear_coefficient(M, self.grid)
         self.freeze(evaluation or ph.Evaluation(M, phi_field))
-        self.dt_solvable = solvability_bound(M, 0.0 if self.w is None else float(self.w.min()))
+        self.dt_solvable = solvability_bound(M, self.grid)
 
     def freeze(self, ev: ph.Evaluation, dt: float = 0.0):
         """Freeze the coefficients and explicit terms at a newly accepted state,
@@ -310,9 +314,7 @@ class _StepWorkspace:
         self.m_face = ev.m_face if M.alpha > 0 else None
         self.wa = None if self.a_face is None else M.gamma * self.a_face * inv_h2
         self.wm = None if self.m_face is None else M.alpha * self.m_face * inv_h2
-        self.w = ev.kernel.row_sums if (M.sigma2 and M.nonlocal_consistency) else None
-        # the concave term -theta0 phi moves from the explicit part to mu_of
-        self.lagged = ev.explicit + self.theta0 * ev.phi if self.theta0 else ev.explicit
+        self.lagged = self.explicit = ev.explicit
         # J*phi's change over the step that reached this state
         self.trend = ev.conv - self.conv if M.sigma2 and dt else None
         # divided differences of the last three accepted states, for predict
@@ -321,7 +323,6 @@ class _StepWorkspace:
             (slope - self.slope) / (dt + self.dt_prev)
         self.phi, self.slope = ev.phi, slope
         self.conv, self.dt_prev = (ev.conv if M.sigma2 else None), dt
-        self.explicit = self.lagged
 
     def predict(self, dt: float) -> np.ndarray:
         """Newton's start for a step of size dt: the quadratic through the last three
@@ -339,12 +340,9 @@ class _StepWorkspace:
 
     def mu_of(self, x: np.ndarray) -> np.ndarray:
         mu = self.P._f1(x) + self.explicit  # F' unchecked: step guards every iterate
-        if self.theta0:
-            mu -= self.theta0 * x
+        mu += self.linear * x
         if self.wa is not None:  # -gamma L_a x
             mu += self.ops.div(self.wa * self.ops.diff(x))
-        if self.w is not None:
-            mu += self.w * x
         return mu
 
     def rhs_of(self, mu: np.ndarray) -> np.ndarray:
@@ -363,36 +361,20 @@ class _StepWorkspace:
     def jacobian_solver(self, x: np.ndarray, dt: float):
         """Factor the Jacobian at x and keep it as the workspace's LU.
 
-        The sparse part is A = I + dt (beta I - alpha L_m)(diag c - gamma L_a)
-        with c = F''(x) - sigma1 theta0 (+ w).  L_a and L_m are assembled here
-        (at the frozen coefficients) and nowhere else, on the grid's fixed
-        stencil pattern, and the diagonal terms are added in place through its
-        diagonal slots.  The mean subtraction adds -dt beta / n 1 c^T (L_a has
-        zero column sums): the border col = -dt beta / n 1, row = c, corner = -1.
+        The sparse part is A = I + dt R B, with R = beta I - alpha L_m and
+        B = diag c - gamma L_a, c = F''(x) + ``physics.linear_coefficient``:
+        both factors come from ``grid.local_block`` at the frozen coefficients,
+        the one place where L_a and L_m are assembled.  The mean subtraction
+        adds -dt beta / n 1 c^T (L_a has zero column sums): the border
+        col = -dt beta / n 1, row = c, corner = -1.
         """
-        M, n = self.M, self.n
-        c = self.P.d2F_checked(x) - self.theta0
-        if self.w is not None:
-            c += self.w
-        if self.a_face is None:  # diag(c) on its own pattern: slot i is cell i's diagonal
-            diag = np.arange(n)
-            A = sp.csr_matrix((c, diag, np.arange(n + 1)), shape=(n, n), copy=True)
-        else:
-            diag = self.ops.pattern.diag
-            A = g.weighted_laplacian_matrix(self.grid, self.a_face)
-            A.data *= -M.gamma
-            A.data[diag] += c
-        if self.m_face is None:
-            A.data = dt * (M.beta * A.data)
-            A.data[diag] += 1.0
-        else:
-            drhs = g.weighted_laplacian_matrix(self.grid, self.m_face)
-            drhs.data *= -M.alpha
-            drhs.data[self.ops.pattern.diag] += M.beta
-            A = drhs @ A
-            A.data *= dt
-            A.setdiag(A.diagonal() + 1.0)
-        lu = spla.splu(A.tocsc(), **linalg.SPLU_ORDERING)
+        M = self.M
+        c = self.P.d2F_checked(x) + self.linear
+        A = g.local_block(self.grid, M.alpha, self.m_face, M.beta) \
+            @ g.local_block(self.grid, M.gamma, self.a_face, c)
+        A.data *= dt
+        A.setdiag(A.diagonal() + 1.0)
+        lu = spla.splu(A, **linalg.SPLU_ORDERING)
         solve = lu.solve
         if M.beta > 0:
             border = linalg.bordered_solver(lu, np.full(self.n, -dt * M.beta / self.n), c, -1.0)

@@ -258,9 +258,10 @@ def norm_h1_semi(u: Field) -> float:
     return float(np.sqrt(np.dot(gu, gu) * u.grid.cell_volume))
 
 
-def weighted_laplacian_values(grid: Grid, face_weights: FaceField | np.ndarray | float
-                              ) -> np.ndarray:
-    """The stored values of ``weighted_laplacian_matrix`` on ``grid.faces.pattern``.
+def weighted_laplacian_matrix(grid: Grid, face_weights: FaceField | np.ndarray | float
+                              ) -> sp.csc_matrix:
+    """Sparse matrix of u -> div(w grad u) = -G^T diag(w / h^2) G u, in CSC on
+    ``grid.faces.pattern`` (symmetric, so its CSR arrays are its CSC).
 
     ``face_weights`` is a FaceField, or w on the faces of ``grid.faces`` (an
     array in face order, or a scalar for a constant coefficient).  One
@@ -271,16 +272,24 @@ def weighted_laplacian_values(grid: Grid, face_weights: FaceField | np.ndarray |
     w = ops.gather(face_weights) if isinstance(face_weights, FaceField) else face_weights
     p = ops.pattern
     terms = np.multiply.outer(-w * ops.inv_h2, (1.0, 1.0, -1.0, -1.0)).ravel()
-    return np.bincount(p.slots, terms, p.indices.size)
-
-
-def weighted_laplacian_matrix(grid: Grid, face_weights: FaceField | np.ndarray | float
-                              ) -> sp.csr_matrix:
-    """Sparse matrix of u -> div(w grad u) = -G^T diag(w / h^2) G u, with
-    ``face_weights`` as for ``weighted_laplacian_values``."""
-    p = grid.faces.pattern
-    return sp.csr_matrix((weighted_laplacian_values(grid, face_weights), p.indices, p.indptr),
+    return sp.csc_matrix((np.bincount(p.slots, terms, p.indices.size), p.indices, p.indptr),
                          shape=(grid.n_cells, grid.n_cells))
+
+
+def local_block(grid: Grid, gamma: float, a_face, c) -> sp.csc_matrix:
+    """``diag(c) - gamma L_a``, L_a = ``weighted_laplacian_matrix(grid, a_face)``:
+    CSC on the grid's stencil pattern, or the diagonal alone when gamma = 0
+    (``a_face`` is then not read).  ``c`` is an array of cell values or a scalar.
+    Both Newton solvers build their Jacobians from it.
+    """
+    n = grid.n_cells
+    if gamma == 0:
+        cells = np.arange(n + 1)
+        return sp.csc_matrix((np.full(n, c, dtype=float), cells[:-1], cells), shape=(n, n))
+    B = weighted_laplacian_matrix(grid, a_face)
+    B.data *= -gamma
+    B.data[grid.faces.pattern.diag] += c
+    return B
 
 
 def norm_hminus1(u: Field) -> float:

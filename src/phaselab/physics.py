@@ -394,6 +394,19 @@ def nonlocal_cahn_hilliard(potential, mobility, kernel, alpha=1.0,
                        preset=PRESET_NONLOCAL)
 
 
+def linear_coefficient(M: ModelConfig, grid: g.Grid) -> np.ndarray | float:
+    """The coefficient of mu's local linear term: -sigma1 theta0, plus the
+    kernel row sums J*1 when the nonlocal term is the consistent one.
+
+    The chemical potential, both Newton Jacobians and the stepper's dt bound
+    read it here; nothing else reads ``nonlocal_consistency``.
+    """
+    c = -M.sigma1 * M.potential.theta0
+    if M.sigma2 and M.nonlocal_consistency:
+        return M.kernel.matrix(grid).row_sums + c
+    return c
+
+
 class _once(cached_property):
     """``cached_property`` without the lock that Python 3.11 takes on each first
     read: the value is computed once and kept as a plain attribute."""
@@ -462,10 +475,10 @@ class Evaluation:
 
     @_once
     def explicit(self) -> np.ndarray | float:
-        """The explicit part of the split chemical potential: -sigma1 theta0
-        phi, the a' gradient square and -sigma2 J*phi (0.0 if all vanish)."""
+        """The part of the chemical potential that the stepper keeps explicit:
+        the a' gradient square and -sigma2 J*phi (0.0 if both vanish)."""
         M = self.M
-        out = -M.potential.theta0 * self.phi if M.sigma1 else 0.0
+        out = 0.0
         if M.gamma > 0 and not M.diffusion.is_constant:
             da = np.asarray(M.diffusion.dfn(self.phi))
             if da.any():
@@ -482,10 +495,9 @@ class Evaluation:
     def mu(self) -> np.ndarray:
         M = self.M
         mu = self.dF + self.explicit
+        mu += linear_coefficient(M, self.grid) * self.phi
         if M.gamma > 0:  # -gamma div(a grad phi)
             mu += M.gamma * self.ops.div(self.ops.inv_h * (self.a_face * self.grad))
-        if M.sigma2 and M.nonlocal_consistency:
-            mu += self.kernel.row_sums * self.phi
         return mu
 
     @_once
@@ -546,9 +558,9 @@ def chemical_potential(M: ModelConfig, phi: g.Field) -> g.Field:
     """First variation of the discrete free energy.
 
     With ``nonlocal_consistency`` on, the convolution part carries the extra
-    diagonal (J*1) phi term so that mu is the exact gradient of the
-    double-integral energy on the bounded domain; switched off, the literal
-    -J*phi form is produced instead.
+    diagonal (J*1) phi term (through ``linear_coefficient``) so that mu is the
+    exact gradient of the double-integral energy on the bounded domain;
+    switched off, the literal -J*phi form is produced instead.
     """
     return g.Field(phi.grid, Evaluation(M, phi).mu)
 

@@ -16,13 +16,13 @@ Jacobian, and in psi it takes psi as F'(phi).  A step backtracks at most
 ``MAX_BACKTRACKS`` halvings.  The bordered Jacobian is never formed densely:
 SuperLU factors only its n x n local block B, ``linalg.bordered_solver``
 eliminates the border, and a kernel part, applied by FFT, leaves the full
-system to ``linalg.gmres``.  In phi, B is the frozen-coefficient diffusion
-stencil, assembled at each iterate on the grid's fixed pattern, with the
-potential diagonal added in its diagonal slots; in psi, B is diagonal.  A
-singular local block fails the step even where the bordered matrix is
-regular.  Stationary states are generally non-unique;
-which one is found depends on the initial guess, so seeds are first-class
-inputs and get recorded with the result.
+system to ``linalg.gmres``.  B is ``grid.local_block`` with the diagonal
+F'' + c (c the ``physics.linear_coefficient``) scaled by t: in phi the
+frozen-coefficient diffusion stencil on the grid's fixed pattern, in psi
+(gamma = 0) the diagonal 1 + c t.  A singular local block fails the step even
+where the bordered matrix is regular.  Stationary states are generally
+non-unique; which one is found depends on the initial guess, so seeds are
+first-class inputs and get recorded with the result.
 """
 
 from __future__ import annotations
@@ -108,7 +108,10 @@ def _newton_step(B: sp.csc_matrix, r, rhs, K, t):
 
     x, its, ok = linalg.gmres(matvec, bordered, rhs, GMRES_RTOL, GMRES_RESTART, GMRES_MAXITER)
     if not ok:
-        raise NewtonDivergenceError("stationary GMRES did not converge")
+        reached = np.linalg.norm(rhs - matvec(x)) / np.linalg.norm(rhs)
+        raise NewtonDivergenceError(
+            f"stationary GMRES did not converge: the Newton Jacobian is ill-conditioned at "
+            f"this iterate (relative residual {reached:.3g} against GMRES_RTOL = {GMRES_RTOL:g})")
     return x, its
 
 
@@ -125,9 +128,7 @@ def solve_equilibrium(M: ph.ModelConfig, k: float, guess: g.Field,
     eps = P.eps_guard
     limit = 1.0 - eps
     K = M.kernel.matrix(grid) if M.sigma2 else None
-    shift = -P.theta0 * M.sigma1
-    if K is not None and M.nonlocal_consistency:
-        shift = shift + K.row_sums
+    coef = ph.linear_coefficient(M, grid)
     entropy = M.gamma == 0
 
     def evaluate(z):
@@ -151,21 +152,12 @@ def solve_equilibrium(M: ph.ModelConfig, k: float, guess: g.Field,
         if rnorm <= tol and abs(res[n]) <= 1e-12:
             break
         d2 = P.d2F_checked(ev.phi)
-        # t = dphi/dz scales the columns and the border row
-        if entropy:
-            # in psi the potential diagonal F'' t is 1
-            t = 1.0 / d2
-            B = sp.csc_matrix((1.0 + shift * t, np.arange(n), np.arange(n + 1)), shape=(n, n))
-        else:
-            # the diffusion coefficient is frozen at the iterate and its a'
-            # gradient-square derivative dropped, trading quadratic
-            # convergence for robustness
-            t = 1.0
-            p = grid.faces.pattern  # symmetric: its CSR arrays are its CSC
-            values = g.weighted_laplacian_values(grid, ev.a_face)
-            values *= -M.gamma
-            values[p.diag] += d2 + shift
-            B = sp.csc_matrix((values, p.indices, p.indptr), shape=(n, n))
+        # t = dphi/dz scales the columns and the border row; in psi (gamma = 0,
+        # so B is diagonal) F'' t is 1.  In phi the diffusion coefficient is
+        # frozen at the iterate and its a' gradient-square derivative dropped,
+        # trading quadratic convergence for robustness
+        t, d2t = (1.0 / d2, 1.0) if entropy else (1.0, d2)
+        B = g.local_block(grid, M.gamma, None if entropy else ev.a_face, d2t + coef * t)
         try:
             step, its = _newton_step(B, t / n, -res, K, t)
         except NewtonDivergenceError as exc:

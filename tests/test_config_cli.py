@@ -510,6 +510,47 @@ dir = {out}
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["assertions"] == {"any_converged": False}
 
+    def test_equilibrium_prints_failed_seeds(self, tmp_path, capsys):
+        # gamma = 0, sigma1 = sigma2 = 1 on 24x24: from both layer seeds the
+        # stationary Newton stalls; the failures are printed, not only recorded
+        out = tmp_path / "eq"
+        text = f"""
+[grid]
+dim = 2
+nx = 24
+ny = 24
+
+[mobility]
+kind = poly
+m_star = 0.5
+coeffs = 1.0 0.0 -0.5
+
+[kernel]
+kind = gaussian
+scale = 0.1
+
+[model]
+alpha = 1.0
+beta = 0.0
+gamma = 0.0
+sigma1 = 1
+sigma2 = 1
+
+[initial]
+mean = 0.1
+
+[output]
+dir = {out}
+"""
+        assert main(["equilibrium", str(write_cfg(tmp_path, text))]) == 0
+        printed = capsys.readouterr().out
+        results = {r["seed_id"]: r for r in json.loads((out / "equilibria.json").read_text())}
+        assert "error" not in results["constant"]
+        assert "equilibrium: seed constant mu_inf=" in printed
+        for seed in ("tanh_mid", "tanh_flip"):
+            assert "GMRES" in results[seed]["error"]
+            assert f"equilibrium: seed {seed} failed: {results[seed]['error']}" in printed
+
     def test_manifest_stamps_the_environment(self, tmp_path):
         out = tmp_path / "run"
         text = MINIMAL_AC.format(out=out).replace("t_max = 2.0", "t_max = 0.05")

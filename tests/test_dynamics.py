@@ -11,6 +11,7 @@ from phaselab import (
     Grid,
     KernelSpec,
     MobilitySpec,
+    ModelConfig,
     PotentialSpec,
     State,
     StepperConfig,
@@ -55,6 +56,14 @@ def nl_model(theta=0.3, theta0=1.0, consistency=True):
         KernelSpec("gaussian", scale=0.1),
         nonlocal_consistency=consistency,
     )
+
+
+def general_model():
+    """alpha, beta, gamma > 0 with both the concave term and a Gaussian kernel."""
+    return ModelConfig(1, 0.5, 1e-2, 1, 1, PotentialSpec.logarithmic(0.3, 1.0),
+                       MobilitySpec.polynomial([1.0, 0.0, -0.5], m_star=0.5),
+                       DiffusionSpec.polynomial([1.0, 0.0, 0.5], a_star=1.0),
+                       kernel=KernelSpec("gaussian", scale=0.1))
 
 
 class TestStep:
@@ -247,10 +256,22 @@ class TestRun:
 class TestSolvabilityCap:
     def test_bounds_of_the_presets(self):
         # kappa = theta0 - theta = 0.7; CH: m_max = 1 (m = 1 - s^2 / 2), a_min = 1
-        assert dynamics.solvability_bound(ac_model()) == pytest.approx(1.0 / 0.7)
-        assert dynamics.solvability_bound(ch_model(gamma=0.01)) == \
+        grid = Grid((32,), (1.0,))
+        assert dynamics.solvability_bound(ac_model(), grid) == pytest.approx(1.0 / 0.7)
+        assert dynamics.solvability_bound(ch_model(gamma=0.01), grid) == \
             pytest.approx(4.0 * 0.01 / 0.7 ** 2)
-        assert dynamics.solvability_bound(nl_model()) == np.inf
+        assert dynamics.solvability_bound(nl_model(), grid) == np.inf
+
+    @pytest.mark.parametrize("grid", [Grid((48,), (1.0,)), Grid((12, 10), (1.0, 0.8), "periodic")],
+                             ids=["1d_neumann", "2d_periodic"])
+    def test_bound_of_the_general_model_reads_the_kernel_row_sums(self, grid):
+        # kappa = theta0 - theta - min w, w the row sums of the dense kernel; m_max = a_min = 1
+        M = general_model()
+        w = dense_kernel(M.kernel.matrix(grid)).sum(axis=1)
+        kappa = 1.0 - 0.3 - w.min()
+        assert kappa > 0.1
+        rate = 0.5 * kappa + kappa ** 2 / (4.0 * 1e-2)
+        assert dynamics.solvability_bound(M, grid) == pytest.approx(1.0 / rate, rel=1e-12)
 
     def test_run_caps_dt(self):
         M = ac_model(theta=0.3, gamma=0.02)
@@ -373,6 +394,20 @@ class TestExtrapolatedKernelTerm:
         np.testing.assert_allclose(ws.explicit, -((1 + r) * K @ phi1 - r * K @ phi0),
                                    rtol=0, atol=1e-13)
 
+    @pytest.mark.parametrize("grid", [Grid((48,), (1.0,)), Grid((12, 10), (1.0, 0.8), "periodic")],
+                             ids=["1d_neumann", "2d_periodic"])
+    @pytest.mark.parametrize("factory", [ch_model, ac_model, nl_model,
+                                         lambda: nl_model(consistency=False), general_model],
+                             ids=["ch", "ac", "nl", "nl_literal", "general"])
+    def test_stepper_mu_is_the_chemical_potential(self, factory, grid):
+        # at the state it froze, the stepper's matrix-free mu, its local linear
+        # term implicit, is that state's chemical potential
+        M = factory()
+        phi = Field(grid, 0.1 + 0.4 * rng(7).uniform(-1.0, 1.0, grid.n_cells))
+        ws = dynamics._StepWorkspace(M, phi)
+        mu = ph.Evaluation(M, phi).mu
+        assert np.max(np.abs(ws.mu_of(phi.data) - mu)) <= 1e-13 * np.max(np.abs(mu))
+
     def test_local_models_keep_the_lagged_term(self):
         grid = Grid((32,), (1.0,))
         phi0 = Field(grid, 0.1 + 0.05 * np.cos(2 * np.pi * grid.axes()[0]))
@@ -383,7 +418,7 @@ class TestExtrapolatedKernelTerm:
             ws.freeze(ev, 2e-3)
             ws.extrapolate(3e-3)
             assert ws.trend is None
-            np.testing.assert_array_equal(ws.explicit, ev.explicit + ws.theta0 * phi1.data)
+            np.testing.assert_array_equal(ws.explicit, ev.explicit)
 
     def test_t50_runs_meet_the_nonlocal_step_gate(self, t50_runs_1d, t50_runs_2d):
         p1 = t50_runs_1d["NONLOCAL_CH"].provenance

@@ -107,8 +107,8 @@ def test_assembly_is_the_incidence_product_bit_for_bit(case):
     ref = (G.T.tocsr() @ scaled).toarray()
     A = weighted_laplacian_matrix(grid, w)
     assert A.toarray().tobytes() == ref.tobytes()
-    # symmetric: the same three arrays are its CSC
-    C = A.tocsc()
+    # symmetric: the same three arrays are its CSR
+    C = A.tocsr()
     for name in ("data", "indices", "indptr"):
         assert np.array_equal(getattr(C, name), getattr(A, name))
     # the diagonal slots address the diagonal

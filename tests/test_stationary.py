@@ -1,5 +1,6 @@
 """Stationary solves: constant branches, interface layers, separation checks."""
 
+import re
 import tracemalloc
 import types
 
@@ -301,6 +302,25 @@ class TestAgainstDenseOracle:
         with pytest.raises(NewtonDivergenceError, match="GMRES"):
             solve_equilibrium(M, k, guess, tol=1e-12)
 
+    @pytest.mark.parametrize("seed", ["tanh_mid", "tanh_flip"])
+    def test_gmres_stall_names_the_ill_conditioned_jacobian(self, seed):
+        # gamma = 0, sigma1 = sigma2 = 1 on 24x24 from a layer seed: Newton stalls
+        # at residual 0.01195 for 20 iterations, heading for a singular Jacobian,
+        # until GMRES floors just above GMRES_RTOL
+        P = log_potential()
+        M = ModelConfig(1, 0, 0, 1, 1, P, MobilitySpec.polynomial([1.0, 0.0, -0.5], m_star=0.5),
+                        DiffusionSpec.constant(1.0), kernel=KernelSpec("gaussian", scale=0.1))
+        guess = dict(equilibrium_seeds(Grid((24, 24), (1.0, 1.0)), 0.1, potential=P))[seed]
+        with pytest.raises(NewtonDivergenceError, match="GMRES") as exc:
+            solve_equilibrium(M, 0.1, guess, tol=1e-12)
+        msg = str(exc.value)
+        assert "Newton Jacobian is ill-conditioned at this iterate" in msg
+        reached = re.search(r"relative residual (\S+) against GMRES_RTOL = (\S+)\)", msg)
+        assert reached and float(reached[2]) == stationary.GMRES_RTOL
+        assert stationary.GMRES_RTOL < float(reached[1]) < 1e3 * stationary.GMRES_RTOL
+        assert exc.value.iterations == 20
+        assert exc.value.residual == pytest.approx(0.01195, abs=1e-5)
+
     @pytest.mark.parametrize("case", ["ch_varying_diffusion", "ac", "nl_consistent",
                                       "nl_literal", "general_kernel"])
     def test_only_the_local_block_is_factored(self, case, monkeypatch):
@@ -324,8 +344,8 @@ class TestAgainstDenseOracle:
         # diffusion (ac) included; psi has no stencil to assemble
         M, k, guess = _oracle_cases()[case]
         calls, lus = [], []
-        real, splu = stationary.g.weighted_laplacian_values, stationary.spla.splu
-        monkeypatch.setattr(stationary.g, "weighted_laplacian_values",
+        real, splu = stationary.g.weighted_laplacian_matrix, stationary.spla.splu
+        monkeypatch.setattr(stationary.g, "weighted_laplacian_matrix",
                             lambda grid, w: calls.append(1) or real(grid, w))
         monkeypatch.setattr(stationary, "spla", types.SimpleNamespace(
             splu=lambda A, **kw: lus.append(1) or splu(A, **kw)))
