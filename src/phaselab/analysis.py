@@ -381,6 +381,7 @@ class OmegaLimitEstimate:
     nearest_eq: object | None = None
     nearest_distance: float | None = None
     nearest_delta: float | None = None
+    polish_error: str | None = None     # why the polish found no nearest_eq
 
 
 def omega_limit_estimate(traj, gts: GoodTimeSet | None, n_reps: int, tol: float,
@@ -433,6 +434,7 @@ def omega_limit_estimate(traj, gts: GoodTimeSet | None, n_reps: int, tol: float,
     nearest = None
     nearest_distance = None
     nearest_delta = None
+    polish_error = None
     model = model if model is not None else traj.model
     if model is not None:
         last_t, last_f = traj.snapshots[-1]
@@ -443,9 +445,9 @@ def omega_limit_estimate(traj, gts: GoodTimeSet | None, n_reps: int, tol: float,
             nearest_distance = g.norm_l2(
                 g.Field(traj.grid, last_f.data - eq.phi_inf.data))
             nearest_delta = eq.delta
-        except PhaselabError:
-            nearest = None
+        except PhaselabError as exc:
+            polish_error = str(exc)
     return OmegaLimitEstimate(
         np.array([t for t, _ in reps]), l2, dispersion, singleton,
-        nearest, nearest_distance, nearest_delta,
+        nearest, nearest_distance, nearest_delta, polish_error,
     )

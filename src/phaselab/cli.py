@@ -308,7 +308,10 @@ def _analysis_report(traj: Trajectory, pars: dict) -> tuple[dict, dict, list]:
             "nearest_eq": None if est.nearest_eq is None else
             {"residual": est.nearest_eq.residual_l2,
              "delta": est.nearest_delta,
-             "distance": est.nearest_distance},
+             "distance": est.nearest_distance,
+             "iterations": est.nearest_eq.iterations,
+             "linear_iterations": est.nearest_eq.linear_iterations},
+            "polish_error": est.polish_error,
         }
     except InsufficientSnapshotsError as exc:
         omega = {"error": str(exc)}

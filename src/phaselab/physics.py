@@ -115,20 +115,23 @@ class PotentialSpec:
             if abs(float(self._f0(1.0)) - target) > 1e-12 * max(1.0, target):
                 raise ValidationError("logarithmic potential must have F(+-1) = theta ln 2")
 
-    def _check_domain(self, s, order):
+    def _check_domain(self, s, order, peak=None):
         a = np.asarray(s, dtype=float)
+        if peak is None:
+            peak = float(np.abs(a).max(initial=0.0))
         limit = 1.0 if order == 0 else 1.0 - self.eps_guard
-        if (np.abs(a) > limit).any():
+        if peak > limit:
             raise PotentialDomainError(
                 f"order-{order} potential evaluation at |s| > {limit}"
             )
         return a
 
-    def F(self, s):
-        return self._f0(self._check_domain(s, 0))
+    # ``peak``, where given, is max|s| taken by the caller
+    def F(self, s, peak=None):
+        return self._f0(self._check_domain(s, 0, peak))
 
-    def dF(self, s):
-        return self._f1(self._check_domain(s, 1))
+    def dF(self, s, peak=None):
+        return self._f1(self._check_domain(s, 1, peak))
 
     def d2F(self, s):
         return self._f2(self._check_domain(s, 2))
@@ -488,8 +491,13 @@ class Evaluation:
         return out
 
     @_once
+    def peak(self) -> float:
+        """max|phi|, against which both potential domains are checked."""
+        return float(np.abs(self.phi).max())
+
+    @_once
     def dF(self) -> np.ndarray:
-        return np.asarray(self.M.potential.dF(self.phi))
+        return np.asarray(self.M.potential.dF(self.phi, self.peak))
 
     @_once
     def mu(self) -> np.ndarray:
@@ -505,7 +513,7 @@ class Evaluation:
         M = self.M
         P = M.potential
         phi = self.phi
-        E = float(P.F(phi).sum())
+        E = float(P.F(phi, self.peak).sum())
         if M.sigma1:
             E -= 0.5 * P.theta0 * float(np.dot(phi, phi))
         if M.gamma > 0:

@@ -16,8 +16,14 @@ Jacobian, and in psi it takes psi as F'(phi).  A step backtracks at most
 ``MAX_BACKTRACKS`` halvings.  The bordered Jacobian is never formed densely:
 SuperLU factors only its n x n local block B, ``linalg.bordered_solver``
 eliminates the border, and a kernel part, applied by FFT, leaves the full
-system to ``linalg.gmres``.  B is ``grid.local_block`` with the diagonal
-F'' + c (c the ``physics.linear_coefficient``) scaled by t: in phi the
+system to ``linalg.gmres``, preconditioned by that bordered block solve.
+GMRES solves Newton step k only to the Eisenstat-Walker forcing term eta_k
+(``ETA_MAX`` at the first step, then 0.9 times the squared ratio of the last
+two nonlinear residuals, kept between the floor ``GMRES_RTOL`` and the cap
+``ETA_MAX``): inexact early steps, fast convergence near the solution.
+Without a kernel each step is the direct bordered solve.  B is
+``grid.local_block`` with the diagonal F'' + c (c the
+``physics.linear_coefficient``) scaled by t: in phi the
 frozen-coefficient diffusion stencil on the grid's fixed pattern, in psi
 (gamma = 0) the diagonal 1 + c t.  A singular local block fails the step even
 where the bordered matrix is regular.  Stationary states are generally
@@ -58,6 +64,7 @@ class EquilibriumState:
             "delta": self.delta,
             "k": self.k,
             "seed_id": self.seed_id,
+            "iterations": self.iterations,
             "linear_iterations": self.linear_iterations,
         }
 
@@ -77,8 +84,11 @@ def stationary_residual(M: ph.ModelConfig, phi: g.Field, mu_c: float) -> g.Field
 
 
 # GMRES settings of the bordered solve with a kernel part.  The nonlinear
-# residual decides convergence; these only make each step an exact Newton step.
-GMRES_RTOL = 1e-13      # at roundoff level, so Newton iteration counts match an exact solve
+# residual decides convergence; GMRES only has to keep each step a Newton step.
+# Step k solves to the Eisenstat-Walker (1996) "choice 2" forcing term
+# eta_k = min(ETA_MAX, max(GMRES_RTOL, 0.9 (r_k / r_{k-1})^2)), eta_0 = ETA_MAX.
+ETA_MAX = 1e-4          # caps above 1e-2 exhaust the damping on the psi kernel cases
+GMRES_RTOL = 1e-13      # floor of eta: the linear residual stays above roundoff
 GMRES_RESTART = 100     # the LU-preconditioned kernel operator converges well within one cycle
 GMRES_MAXITER = 20      # restart cycles; more means the linear solve is failing, not slow
 
@@ -86,9 +96,10 @@ GMRES_MAXITER = 20      # restart cycles; more means the linear solve is failing
 MAX_BACKTRACKS = 60
 
 
-def _newton_step(B: sp.csc_matrix, r, rhs, K, t):
+def _newton_step(B: sp.csc_matrix, r, rhs, K, t, rtol):
     """The step of the bordered Jacobian [[B - K diag(t), -1], [r, 0]] for
-    right-hand side ``rhs``, and its GMRES iteration count."""
+    right-hand side ``rhs``, and its GMRES iteration count; with a kernel K
+    the step solves to relative residual ``rtol``, without one it is exact."""
     n = B.shape[0]
     try:
         lu = spla.splu(B, **linalg.SPLU_ORDERING)
@@ -106,12 +117,12 @@ def _newton_step(B: sp.csc_matrix, r, rhs, K, t):
         x = v[:n]
         return np.concatenate((B @ x - v[n] - K.apply_values(t * x), [(r * x).sum()]))
 
-    x, its, ok = linalg.gmres(matvec, bordered, rhs, GMRES_RTOL, GMRES_RESTART, GMRES_MAXITER)
+    x, its, ok = linalg.gmres(matvec, bordered, rhs, rtol, GMRES_RESTART, GMRES_MAXITER)
     if not ok:
         reached = np.linalg.norm(rhs - matvec(x)) / np.linalg.norm(rhs)
         raise NewtonDivergenceError(
             f"stationary GMRES did not converge: the Newton Jacobian is ill-conditioned at "
-            f"this iterate (relative residual {reached:.3g} against GMRES_RTOL = {GMRES_RTOL:g})")
+            f"this iterate (relative residual {reached:.3g} against eta = {rtol:g})")
     return x, its
 
 
@@ -147,7 +158,7 @@ def solve_equilibrium(M: ph.ModelConfig, k: float, guess: g.Field,
     ev = evaluate(z)
     mu_c = float(ev.mu.mean())
     res, rnorm = residual(ev, mu_c)
-    linear = 0
+    linear, eta = 0, ETA_MAX
     for iters in range(1, max_iter + 1):
         if rnorm <= tol and abs(res[n]) <= 1e-12:
             break
@@ -159,12 +170,12 @@ def solve_equilibrium(M: ph.ModelConfig, k: float, guess: g.Field,
         t, d2t = (1.0 / d2, 1.0) if entropy else (1.0, d2)
         B = g.local_block(grid, M.gamma, None if entropy else ev.a_face, d2t + coef * t)
         try:
-            step, its = _newton_step(B, t / n, -res, K, t)
+            step, its = _newton_step(B, t / n, -res, K, t, eta)
         except NewtonDivergenceError as exc:
             exc.iterations, exc.residual = iters, rnorm
             raise
         linear += its
-        lam = 1.0
+        lam, r_old = 1.0, rnorm
         for _ in range(MAX_BACKTRACKS):
             z_n, mu_n = z + lam * step[:n], mu_c + lam * step[n]
             trial = evaluate(z_n)
@@ -177,6 +188,7 @@ def solve_equilibrium(M: ph.ModelConfig, k: float, guess: g.Field,
         else:
             raise NewtonDivergenceError("stationary damping exhausted",
                                         iterations=iters, residual=rnorm)
+        eta = min(ETA_MAX, max(GMRES_RTOL, 0.9 * (rnorm / r_old) ** 2))
     else:
         raise NewtonDivergenceError(
             f"stationary solve did not converge in {max_iter} iterations",

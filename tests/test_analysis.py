@@ -3,7 +3,15 @@
 import numpy as np
 import pytest
 
-from phaselab import Field, Grid
+from phaselab import (
+    DiffusionSpec,
+    Field,
+    Grid,
+    MobilitySpec,
+    ModelConfig,
+    PotentialSpec,
+    conserved_allen_cahn,
+)
 from phaselab.analysis import (
     classify_good_times,
     degiorgi_from_trajectory,
@@ -23,6 +31,7 @@ from phaselab.errors import (
     WindowOutOfRangeError,
 )
 
+from phaselab.stationary import equilibrium_seeds
 from conftest import make_synthetic_trajectory
 
 
@@ -346,6 +355,22 @@ class TestOmegaLimit:
         est = omega_limit_estimate(traj, None, n_reps=4, tol=1e-8)
         assert est.dispersion == 0.0
         assert est.singleton
+
+    def test_failed_polish_records_why(self):
+        # gamma = 0, sigma1 = 1 without a kernel: from a layer profile the psi
+        # Newton exhausts its damping, and the estimate says so
+        P = PotentialSpec.logarithmic(0.3, 1.0)
+        M = ModelConfig(1, 0, 0, 1, 0, P, MobilitySpec.constant(1.0), DiffusionSpec.constant(1.0))
+        grid = Grid((64,), (1.0,))
+        layer = dict(equilibrium_seeds(grid, 0.1, potential=P))["tanh_mid"]
+        t = np.linspace(0.0, 10.0, 101)
+        traj = make_synthetic_trajectory(t, grid=grid, snapshots=[(tt, layer) for tt in t[::10]])
+        est = omega_limit_estimate(traj, None, n_reps=4, tol=1e-8, model=M)
+        assert est.nearest_eq is None and est.nearest_delta is None
+        assert est.polish_error == "stationary damping exhausted"
+        est = omega_limit_estimate(traj, None, n_reps=4, tol=1e-8,
+                                   model=conserved_allen_cahn(P, beta=1.0, gamma=1e-3))
+        assert est.nearest_eq is not None and est.polish_error is None
 
     def test_insufficient_snapshots(self):
         grid = Grid((8,), (1.0,))

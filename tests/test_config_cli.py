@@ -15,7 +15,7 @@ import scipy
 
 from phaselab import Field, Grid, save_field
 from phaselab.analysis import classify_good_times
-from phaselab import cli
+from phaselab import cli, stationary
 from phaselab.cli import _analysis_report, load_run, main
 from phaselab.config import ExperimentConfig, parse_config
 from phaselab.dynamics import DIAGNOSTICS, StepperConfig, Trajectory, run
@@ -308,8 +308,11 @@ dir = {out}
         assert main(["simulate", str(write_cfg(tmp_path, text))]) == 0
         assert json.loads((out / "summary.json").read_text())["accepted"] == 165
         assert main(["analyze", str(out)]) == 0
-        nearest = json.loads((out / "report.json").read_text())["omega"]["nearest_eq"]
+        omega = json.loads((out / "report.json").read_text())["omega"]
+        nearest = omega["nearest_eq"]
         assert nearest["residual"] <= 1e-10
+        assert nearest["iterations"] >= 1 and nearest["linear_iterations"] == 0  # no kernel
+        assert omega["polish_error"] is None
 
     def test_analyze_reports_good_times_ok(self, tmp_path):
         rc, out = self.simulate(tmp_path)
@@ -490,8 +493,10 @@ dir = {out}
             assert r["residual"] <= 1e-10
         sidecar = json.loads((out / "eq_constant.json").read_text())
         assert set(sidecar) == {"mu_inf", "residual", "delta", "k", "seed_id",
-                                "linear_iterations"}
+                                "iterations", "linear_iterations"}
+        assert sidecar["iterations"] >= 1
         assert sidecar["linear_iterations"] == 0  # no kernel, no GMRES
+        assert [set(r) for r in results] == [set(sidecar)] * len(results)
 
     def test_equilibrium_reports_skipped_seeds(self, tmp_path, capsys):
         # at mean 0.85 neither tanh layer fits inside (-1, 1)
@@ -510,9 +515,12 @@ dir = {out}
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["assertions"] == {"any_converged": False}
 
-    def test_equilibrium_prints_failed_seeds(self, tmp_path, capsys):
-        # gamma = 0, sigma1 = sigma2 = 1 on 24x24: from both layer seeds the
-        # stationary Newton stalls; the failures are printed, not only recorded
+    def test_equilibrium_prints_failed_seeds(self, tmp_path, capsys, monkeypatch):
+        # gamma = 0, sigma1 = sigma2 = 1 on 24x24 with a one-iteration GMRES: the
+        # constant seed needs no linear solve, and both layer seeds fail in GMRES;
+        # the failures are printed, not only recorded
+        monkeypatch.setattr(stationary, "GMRES_RESTART", 1)
+        monkeypatch.setattr(stationary, "GMRES_MAXITER", 1)
         out = tmp_path / "eq"
         text = f"""
 [grid]
@@ -793,3 +801,4 @@ def test_pipeline_leaves_unloaded_modules_out(tmp_path):
     assert unloaded_modules_loaded_by(code) == []
     report = json.loads((tmp_path / "run" / "report.json").read_text())
     assert report["omega"]["nearest_eq"] is not None  # the H^-1 path ran
+    assert report["omega"]["nearest_eq"]["linear_iterations"] > 0  # the kernel's GMRES ran

@@ -721,10 +721,15 @@ class TestOneEvaluationPerState:
         assert len(calls) == gated + 2
 
     def test_each_trial_state_is_domain_checked_once(self, monkeypatch):
-        orders = []
+        orders, peaks = [], []
         real = PotentialSpec._check_domain
-        monkeypatch.setattr(PotentialSpec, "_check_domain",
-                            lambda P, s, order: orders.append(order) or real(P, s, order))
+
+        def spy(P, s, order, peak=None):
+            orders.append(order)
+            peaks.append(peak)
+            return real(P, s, order, peak)
+
+        monkeypatch.setattr(PotentialSpec, "_check_domain", spy)
         M = ac_model()
         grid = Grid((64,), (1.0,))
         phi0 = Field(grid, 0.1 + 0.05 * np.cos(2 * np.pi * grid.axes()[0]))
@@ -737,6 +742,8 @@ class TestOneEvaluationPerState:
         evaluated = 1 + prov["accepted"] + prov["rejected"]["energy"]
         # F and F' once per evaluated state (Newton reads F' unchecked), F'' once per LU
         assert orders.count(0) == orders.count(1) == evaluated
+        # both against the one max|phi| of the state's evaluation
+        assert all(p is not None for o, p in zip(orders, peaks) if o < 2)
         assert orders.count(2) == prov["factorizations"]
         assert orders.count(0) + orders.count(1) <= 2 * trial
 

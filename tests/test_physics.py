@@ -22,6 +22,7 @@ from phaselab import (
     nonlocal_cahn_hilliard,
 )
 from phaselab.errors import PotentialDomainError, ValidationError
+from phaselab.physics import Evaluation
 from conftest import dense_kernel
 
 
@@ -110,6 +111,18 @@ class TestPotential:
             chemical_potential(M, Field(grid, np.r_[np.full(7, 0.1), 1.0]))
         with pytest.raises(PotentialDomainError):
             energy(M, Field(grid, np.r_[np.full(7, 0.1), 1.5]))
+
+    def test_one_evaluation_checks_both_domains_against_one_peak(self):
+        # |phi| = 1 lies in F's closed domain but outside the guard band of F'
+        P = PotentialSpec.logarithmic(0.3, 1.0)
+        M = conserved_allen_cahn(P, beta=1.0, gamma=0.01)
+        ev = Evaluation(M, Field(Grid((8,), (1.0,)), np.r_[np.full(7, 0.1), -1.0]))
+        assert ev.peak == 1.0 and np.isfinite(ev.energy)
+        with pytest.raises(PotentialDomainError, match=r"order-1 potential evaluation at \|s\| > "):
+            ev.mu
+        over = Evaluation(M, Field(Grid((8,), (1.0,)), np.r_[np.full(7, 0.1), 1.5]))
+        with pytest.raises(PotentialDomainError, match=r"order-0 potential evaluation at \|s\| > 1"):
+            over.energy
 
     def test_custom_inverse_dF_bisects_to_the_closed_form(self):
         ref = PotentialSpec.logarithmic(0.5, 1.0)
