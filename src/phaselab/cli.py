@@ -1,7 +1,7 @@
 """Command-line shell: simulate, equilibrium, analyze, lemmas, sweep.
 
 Every run directory is self-describing: a canonical copy of the config, the
-diagnostics CSV, snapshot files, a summary, and a manifest listing emitted
+diagnostics CSV, one snapshot array, a summary, and a manifest listing emitted
 files with the pass/fail outcome of the assertion suite.  Assertion failures
 are exit-status failures, not warnings.
 """
@@ -40,7 +40,8 @@ from .errors import (
 )
 
 ENV_OUTPUT_ROOT = "PHASELAB_OUTPUT_ROOT"
-SCHEMA_TAG = "phaselab-run-1"
+SCHEMA_TAG = "phaselab-run-2"
+SNAPSHOTS = "snapshots.npy"
 # The versions every run record depends on (the kernel FFT is numpy's).
 ENVIRONMENT = {"python": platform.python_version(), "numpy": np.__version__,
                "scipy": scipy.__version__}
@@ -126,12 +127,12 @@ def _write_csv(path: Path, header: str, rows) -> Path:
 def _write_trajectory(outdir: Path, traj: Trajectory) -> list:
     files = [outdir / "config.ini", outdir / "diagnostics.csv"]
     traj.to_csv(files[-1])
-    # snapshots are named by the accepted-step sample they belong to
+    # row i of SNAPSHOTS (cells in row-major order) is row i (step, t) of snapshot_times.csv
     times = [float(t) for t, _ in traj.snapshots]
     steps = np.searchsorted(traj.times, times).tolist()
-    for step, (_, f) in zip(steps, traj.snapshots):
-        files.append(outdir / f"snap_{step:06d}.dat")
-        g.save_field(files[-1], f)
+    files.append(outdir / SNAPSHOTS)
+    np.save(files[-1], np.array([f.data for _, f in traj.snapshots]).reshape(
+        len(times), traj.grid.n_cells))
     files.append(_write_csv(outdir / "snapshot_times.csv", "step,t", zip(steps, times)))
     return files
 
@@ -222,13 +223,22 @@ def load_run(run_dir, cfg: ExperimentConfig | None = None) -> Trajectory:
     summary = json.loads(summary_file.read_text()) if summary_file.exists() else {}
     provenance = {**model_provenance(model), **cfg.provenance(),
                   **{k: summary[k] for k in Trajectory.RUN_COUNTS if k in summary}}
+    grid = cfg.build_grid()
     snaps = []
     times_file = run_dir / "snapshot_times.csv"
     if times_file.exists():
-        steps, times = np.loadtxt(times_file, delimiter=",", skiprows=1, ndmin=2, unpack=True)
-        snaps = [(t, g.load_field(run_dir / f"snap_{step:06d}.dat"))
-                 for step, t in zip(steps.astype(int).tolist(), times.tolist())]
-    grid = snaps[0][1].grid if snaps else cfg.build_grid()
+        times = np.loadtxt(times_file, delimiter=",", skiprows=1, usecols=1, ndmin=1)
+        store = run_dir / SNAPSHOTS
+        try:
+            data = np.load(store, allow_pickle=False)
+        except (OSError, ValueError) as exc:
+            old = ("; snap_*.dat files are the phaselab-run-1 layout"
+                   if any(run_dir.glob("snap_*.dat")) else "")
+            raise ParseError(f"{store}: {type(exc).__name__}: {exc}{old}") from exc
+        if data.dtype != np.float64 or data.shape != (times.size, grid.n_cells):
+            raise ParseError(f"{store}: {data.dtype} {data.shape}, expected float64 "
+                             f"{(times.size, grid.n_cells)} from {times_file.name} and the grid")
+        snaps = [(t, g.Field(grid, row)) for t, row in zip(times.tolist(), data)]
     return Trajectory.read_csv(run_dir / "diagnostics.csv", grid, snapshots=snaps,
                                provenance=provenance, model=model)
 

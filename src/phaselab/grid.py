@@ -276,11 +276,12 @@ def weighted_laplacian_matrix(grid: Grid, face_weights: FaceField | np.ndarray |
                          shape=(grid.n_cells, grid.n_cells))
 
 
-def local_block(grid: Grid, gamma: float, a_face, c) -> sp.csc_matrix:
+def local_block(grid: Grid, gamma: float, a_face, c, face_terms=None) -> sp.csc_matrix:
     """``diag(c) - gamma L_a``, L_a = ``weighted_laplacian_matrix(grid, a_face)``:
     CSC on the grid's stencil pattern, or the diagonal alone when gamma = 0
     (``a_face`` is then not read).  ``c`` is an array of cell values or a scalar.
-    Both Newton solvers build their Jacobians from it.
+    Optional ``face_terms`` (lo-lo, hi-hi, lo-hi, hi-lo entries per face) are
+    added on the pattern.  Both Newton solvers build their Jacobians from it.
     """
     n = grid.n_cells
     if gamma == 0:
@@ -288,6 +289,8 @@ def local_block(grid: Grid, gamma: float, a_face, c) -> sp.csc_matrix:
         return sp.csc_matrix((np.full(n, c, dtype=float), cells[:-1], cells), shape=(n, n))
     B = weighted_laplacian_matrix(grid, a_face)
     B.data *= -gamma
+    if face_terms is not None:
+        B.data += np.bincount(grid.faces.pattern.slots, face_terms.ravel(), B.data.size)
     B.data[grid.faces.pattern.diag] += c
     return B
 

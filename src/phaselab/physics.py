@@ -214,13 +214,15 @@ class MobilitySpec:
 
 
 class DiffusionSpec:
-    """Nonlinear gradient-energy coefficient a(s) >= a_star > 0 with derivative."""
+    """Nonlinear gradient-energy coefficient a(s) >= a_star > 0 with its derivatives
+    a' (``dfn``) and a'' (``d2fn``), each checked against differences of the last."""
 
-    def __init__(self, fn, dfn, a_star):
+    def __init__(self, fn, dfn, d2fn, a_star):
         if a_star <= 0:
             raise ValidationError("a_star must be positive")
         self.fn = fn
         self.dfn = dfn
+        self.d2fn = d2fn
         self.a_star = float(a_star)
         s = np.linspace(-1.0, 1.0, 2001)
         vals = np.asarray(fn(s))
@@ -228,17 +230,20 @@ class DiffusionSpec:
             raise ValidationError("diffusion coefficient dips below its declared a_star")
         h = 1e-5
         inner_pts = s[(np.abs(s) < 1.0 - 2 * h)]
-        fd = (np.asarray(fn(inner_pts + h)) - np.asarray(fn(inner_pts - h))) / (2 * h)
-        declared = np.asarray(dfn(inner_pts))
-        scale = np.maximum(1.0, np.abs(declared))
-        if np.any(np.abs(fd - declared) > 1e-6 * scale * (1.0 + 1e3 * h)):
-            raise ValidationError("declared a' inconsistent with finite differences of a")
+        for name, f, df in (("a'", fn, dfn), ("a''", dfn, d2fn)):
+            fd = (np.asarray(f(inner_pts + h)) - np.asarray(f(inner_pts - h))) / (2 * h)
+            declared = np.asarray(df(inner_pts))
+            scale = np.maximum(1.0, np.abs(declared))
+            if np.any(np.abs(fd - declared) > 1e-6 * scale * (1.0 + 1e3 * h)):
+                raise ValidationError(f"declared {name} inconsistent with finite differences "
+                                      f"of {name[:-1]}")
 
     @classmethod
     def constant(cls, value=1.0) -> "DiffusionSpec":
         v = float(value)
         out = cls(
             lambda s: np.full_like(np.asarray(s, dtype=float), v),
+            lambda s: np.zeros_like(np.asarray(s, dtype=float)),
             lambda s: np.zeros_like(np.asarray(s, dtype=float)),
             v,
         )
@@ -251,10 +256,11 @@ class DiffusionSpec:
         c = np.asarray(coeffs, dtype=float)
         if c.size == 1:
             return cls.constant(c[0])
-        dc = np.polynomial.polynomial.polyder(c)
+        dc, d2c = (np.polynomial.polynomial.polyder(c, m) for m in (1, 2))
         return cls(
             lambda s: np.polynomial.polynomial.polyval(np.asarray(s, dtype=float), c),
             lambda s: np.polynomial.polynomial.polyval(np.asarray(s, dtype=float), dc),
+            lambda s: np.polynomial.polynomial.polyval(np.asarray(s, dtype=float), d2c),
             a_star,
         )
 
@@ -489,6 +495,21 @@ class Evaluation:
         if M.sigma2:
             out = out - self.conv
         return out
+
+    @_once
+    def a_hessian(self) -> np.ndarray | None:
+        """Per face, the lo-lo, hi-hi, lo-hi and hi-lo entries gamma (a''_lo g^2/4 -
+        a'_lo g/h), gamma (a''_hi g^2/4 + a'_hi g/h) and twice gamma (a'_lo - a'_hi)
+        g/(2h) that a varying a adds to the Hessian of gamma/2 sum_f a_f g_f^2
+        beyond -gamma L_a (g the face gradient); None when a is constant."""
+        M, ops = self.M, self.ops
+        if M.diffusion.is_constant:
+            return None
+        da, d2a = np.asarray(M.diffusion.dfn(self.phi)), np.asarray(M.diffusion.d2fn(self.phi))
+        g_h, sq = self.grad * ops.inv_h, 0.25 * self.grad * self.grad
+        cross = 0.5 * (da[ops.lo] - da[ops.hi]) * g_h
+        return M.gamma * np.column_stack((d2a[ops.lo] * sq - da[ops.lo] * g_h,
+                                          d2a[ops.hi] * sq + da[ops.hi] * g_h, cross, cross))
 
     @_once
     def peak(self) -> float:

@@ -11,8 +11,8 @@ with z = phi and t = 1 when gamma > 0 (backtracking keeps phi inside the
 guard band), and z = psi = F'(phi), phi = (F')^{-1}(psi), t = 1/F''(phi)
 when gamma = 0 (every psi maps strictly inside (-1, 1), so the barrier never
 throttles the step).  Each trial state gets one ``physics.Evaluation``; it
-supplies the residual and the diffusion coefficient frozen for the next
-Jacobian, and in psi it takes psi as F'(phi).  A step backtracks at most
+supplies the residual and the diffusion terms of the next Jacobian, and in
+psi it takes psi as F'(phi).  A step backtracks at most
 ``MAX_BACKTRACKS`` halvings.  The bordered Jacobian is never formed densely:
 SuperLU factors only its n x n local block B, ``linalg.bordered_solver``
 eliminates the border, and a kernel part, applied by FFT, leaves the full
@@ -23,12 +23,12 @@ two nonlinear residuals, kept between the floor ``GMRES_RTOL`` and the cap
 ``ETA_MAX``): inexact early steps, fast convergence near the solution.
 Without a kernel each step is the direct bordered solve.  B is
 ``grid.local_block`` with the diagonal F'' + c (c the
-``physics.linear_coefficient``) scaled by t: in phi the
-frozen-coefficient diffusion stencil on the grid's fixed pattern, in psi
-(gamma = 0) the diagonal 1 + c t.  A singular local block fails the step even
-where the bordered matrix is regular.  Stationary states are generally
-non-unique; which one is found depends on the initial guess, so seeds are
-first-class inputs and get recorded with the result.
+``physics.linear_coefficient``) scaled by t: in phi the exact Jacobian of
+mu (the stencil of a plus ``Evaluation.a_hessian``) on the grid's fixed
+pattern, in psi (gamma = 0) the diagonal 1 + c t.  A singular local block
+fails the step even where the bordered matrix is regular.  Stationary states
+are generally non-unique; which one is found depends on the initial guess, so
+seeds are first-class inputs and get recorded with the result.
 """
 
 from __future__ import annotations
@@ -164,11 +164,12 @@ def solve_equilibrium(M: ph.ModelConfig, k: float, guess: g.Field,
             break
         d2 = P.d2F_checked(ev.phi)
         # t = dphi/dz scales the columns and the border row; in psi (gamma = 0,
-        # so B is diagonal) F'' t is 1.  In phi the diffusion coefficient is
-        # frozen at the iterate and its a' gradient-square derivative dropped,
-        # trading quadratic convergence for robustness
+        # so B is diagonal) F'' t is 1.  In phi B is the exact Jacobian of mu:
+        # the stencil of a at the iterate plus the a' and a'' face terms of the
+        # gradient energy's Hessian, so Newton converges quadratically
         t, d2t = (1.0 / d2, 1.0) if entropy else (1.0, d2)
-        B = g.local_block(grid, M.gamma, None if entropy else ev.a_face, d2t + coef * t)
+        B = g.local_block(grid, M.gamma, None if entropy else ev.a_face, d2t + coef * t,
+                          None if entropy else ev.a_hessian)
         try:
             step, its = _newton_step(B, t / n, -res, K, t, eta)
         except NewtonDivergenceError as exc:

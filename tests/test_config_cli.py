@@ -252,7 +252,7 @@ class TestCLI:
         listed = {Path(f).name for f in manifest["files"]}
         emitted = {p.name for p in out.iterdir() if p.name != "manifest.json"}
         assert emitted <= listed | {"manifest.json"}
-        assert any(name.startswith("snap_") for name in listed)
+        assert "snapshots.npy" in listed
         summary = json.loads((out / "summary.json").read_text())
         assert 1 <= summary["factorizations"] <= summary["accepted"]
 
@@ -685,6 +685,51 @@ class TestRunRecord:
         assert (disk["gate_limited"] > 0) == ("gamma = 0.02" in edits)
         del memory["wall_time_s"], disk["wall_time_s"]
         assert disk == memory
+
+    @pytest.mark.parametrize("edits", [
+        {},
+        {"dim = 1\nnx = 64\nlx = 1.0": "dim = 2\nnx = 12\nny = 8\nlx = 1.0\nly = 0.75\n"
+                                        "bc = periodic"},
+    ], ids=["1d_neumann", "2d_periodic"])
+    def test_snapshots_round_trip_bit_exact(self, tmp_path, edits):
+        text = MINIMAL_AC.format(out=tmp_path / "run").replace("t_max = 2.0", "t_max = 0.05")
+        for old, new in edits.items():
+            text = text.replace(old, new)
+        cfg_path = write_cfg(tmp_path, text)
+        assert main(["simulate", str(cfg_path)]) == 0
+        cfg = parse_config(cfg_path)
+        memory = run(cfg.build_model(), cfg.build_initial_field(cfg.build_grid()),
+                     cfg.t_max, cfg.build_stepper())
+        disk = load_run(tmp_path / "run")
+        assert disk.grid == memory.grid and memory.grid.dim == (2 if edits else 1)
+        assert len(disk.snapshots) == len(memory.snapshots) >= 2
+        for (t, f), (t_mem, f_mem) in zip(disk.snapshots, memory.snapshots):
+            assert t == t_mem and f.grid == memory.grid
+            assert np.array_equal(f.data, f_mem.data)
+        stored = np.load(tmp_path / "run" / "snapshots.npy", allow_pickle=False)
+        assert stored.dtype == np.float64
+        assert stored.shape == (len(memory.snapshots), memory.grid.n_cells)
+
+    @pytest.mark.parametrize("damage, message", [
+        (lambda store, data: np.save(store, data[:, :-1]), r"\(\d+, 63\), expected float64"),
+        (lambda store, data: np.save(store, data[:-1]), r"expected float64 .* snapshot_times\.csv"),
+        (lambda store, data: store.unlink(), r"snap_\*\.dat files are the phaselab-run-1 layout"),
+    ], ids=["cells", "rows", "old_layout"])
+    def test_snapshot_store_errors_are_typed(self, tmp_path, capsys, damage, message):
+        out = tmp_path / "run"
+        text = MINIMAL_AC.format(out=out).replace("t_max = 2.0", "t_max = 0.05")
+        assert main(["simulate", str(write_cfg(tmp_path, text))]) == 0
+        store = out / "snapshots.npy"
+        data = np.load(store)
+        damage(store, data)
+        if not store.exists():  # what the earlier layout wrote: one text file per snapshot
+            for i, row in enumerate(data):
+                save_field(out / f"snap_{i:06d}.dat", Field(Grid((64,), (1.0,)), row))
+        with pytest.raises(ParseError, match=message) as exc:
+            load_run(out)
+        assert str(store) in str(exc.value)
+        assert main(["analyze", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {exc.value}\n"
 
     def test_analyze_parses_the_config_once(self, tmp_path, monkeypatch):
         out = tmp_path / "run"

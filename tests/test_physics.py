@@ -171,12 +171,30 @@ class TestCoefficientSpecs:
             MobilitySpec.polynomial([0.5, 0.0, -0.5], m_star=0.5)  # m(1) = 0
 
     def test_diffusion_derivative_consistency(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="declared a' inconsistent"):
             DiffusionSpec(
                 lambda s: 1.0 + np.asarray(s) ** 2,
                 lambda s: np.zeros_like(np.asarray(s, dtype=float)),  # wrong a'
+                lambda s: np.zeros_like(np.asarray(s, dtype=float)),
                 a_star=1.0,
             )
+
+    def test_diffusion_second_derivative_consistency(self):
+        with pytest.raises(ValidationError, match="declared a'' inconsistent .* of a'$"):
+            DiffusionSpec(
+                lambda s: 1.0 + np.asarray(s) ** 2,
+                lambda s: 2.0 * np.asarray(s),
+                lambda s: np.zeros_like(np.asarray(s, dtype=float)),  # wrong a''
+                a_star=1.0,
+            )
+
+    @pytest.mark.parametrize("coeffs, d2", [([1.0, 0.0, 0.5], 1.0), ([1.0, 0.2, 0.0, 0.1], None),
+                                            ([2.0], 0.0)])
+    def test_diffusion_second_derivative_of_the_presets(self, coeffs, d2):
+        s = np.linspace(-0.9, 0.9, 7)
+        dif = DiffusionSpec.polynomial(coeffs, a_star=0.5)
+        expected = np.full_like(s, d2) if d2 is not None else 0.6 * s  # a = 1 + 0.2 s + 0.1 s^3
+        assert np.allclose(dif.d2fn(s), expected, rtol=0, atol=1e-15)
 
 
 class TestPresets:

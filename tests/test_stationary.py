@@ -31,9 +31,8 @@ from phaselab import (
 )
 from phaselab import linalg, physics, stationary
 from phaselab.errors import NewtonDivergenceError
-from phaselab.grid import weighted_laplacian_matrix
 from phaselab.stationary import equilibrium_seeds
-from conftest import dense_kernel, face_average
+from conftest import dense_kernel
 
 
 def log_potential(theta=0.3, theta0=1.0):
@@ -148,11 +147,33 @@ class TestSolve:
         assert norm_l2(Field(grid, out.phi.data - eq.phi_inf.data)) <= 1e-8
 
 
+def dense_gradient_hessian(M, grid, phi):
+    """The dense Hessian of gamma/2 sum_f a_f g_f^2 (test oracle), summed face by
+    face: a_f is the mean of a at the face's two cells and g_f their difference
+    over h, with a wrap face per axis under periodic boundaries."""
+    n = grid.n_cells
+    a, da, d2a = M.diffusion(phi), M.diffusion.dfn(phi), M.diffusion.d2fn(phi)
+    H = np.zeros((n, n))
+    cells = np.arange(n).reshape(grid.shape)
+    for axis, h in enumerate(grid.spacing):
+        # every cell's face to its successor along the axis; the last wraps
+        has_face = (np.indices(grid.shape)[axis] < grid.shape[axis] - 1) | (grid.bc == "periodic")
+        lo, hi = cells[has_face], np.roll(cells, -1, axis=axis)[has_face]
+        g = (phi[hi] - phi[lo]) / h
+        a_f = 0.5 * (a[lo] + a[hi])
+        np.add.at(H, (lo, lo), a_f / h**2 - da[lo] * g / h + d2a[lo] * g**2 / 4)
+        np.add.at(H, (hi, hi), a_f / h**2 + da[hi] * g / h + d2a[hi] * g**2 / 4)
+        cross = -a_f / h**2 + (da[lo] - da[hi]) * g / (2 * h)
+        np.add.at(H, (lo, hi), cross)
+        np.add.at(H, (hi, lo), cross)
+    return M.gamma * H
+
+
 def dense_equilibrium(M, k, guess, tol=1e-12, max_iter=80):
     """Damped bordered Newton with the dense (n+1)^2 Jacobian (test oracle).
 
-    Iterates on phi for gamma > 0 and on psi = F'(phi) for gamma = 0, with the
-    diffusion coefficient frozen at the iterate, like the library solver.
+    Iterates on phi for gamma > 0 and on psi = F'(phi) for gamma = 0.  In phi
+    the Jacobian is the exact Hessian, a' and a'' terms included.
     """
     grid = guess.grid
     n = grid.n_cells
@@ -184,8 +205,7 @@ def dense_equilibrium(M, k, guess, tol=1e-12, max_iter=80):
         phi = phi_of(z)
         J_mu = np.diag(P.d2F(phi) - M.sigma1 * P.theta0 + w) - Kd
         if M.gamma > 0:
-            a_face = face_average(Field(grid, M.diffusion(phi)))
-            J_mu -= M.gamma * weighted_laplacian_matrix(grid, a_face).toarray()
+            J_mu += dense_gradient_hessian(M, grid, phi)
         dphi = 1.0 / P.d2F(phi) if entropy else np.ones(n)
         J = np.zeros((n + 1, n + 1))
         J[:n, :n] = J_mu * dphi[None, :]
@@ -227,6 +247,9 @@ def _oracle_cases():
                                     nonlocal_consistency=False)
     general = ModelConfig(1, 0, 1e-2, 1, 1, P, mob, dif,
                           kernel=KernelSpec("gaussian", scale=0.1))
+    # two interfaces across the periodic wrap
+    gp = Grid((16, 12), (1.0, 0.75), "periodic")
+    layers = 0.9 * np.tanh(2.0 * np.cos(2 * np.pi * gp.cell_centers()[0].ravel()))
     # gamma = 0 with the concave term: the psi iteration's local block
     # 1 - theta0/F''(phi) changes sign across the spinodal
     entropy = {}
@@ -247,6 +270,8 @@ def _oracle_cases():
         "ch_varying_diffusion_2d": (deep_quench_ch(gamma=1e-2), 0.0,
                                     dict(equilibrium_seeds(Grid((16, 16), (1.0, 1.0)), 0.0,
                                                            potential=P))["tanh_mid"]),
+        "ch_varying_diffusion_2d_periodic": (deep_quench_ch(gamma=1e-2), 0.1,
+                                             Field(gp, layers + 0.1 - layers.mean())),
         "ac": (conserved_allen_cahn(P, beta=1.0, gamma=1e-3), 0.1,
                dict(equilibrium_seeds(g64, 0.1, potential=P))["tanh_mid"]),
         "nl_consistent": (nl_on, 0.1,
@@ -257,6 +282,48 @@ def _oracle_cases():
                            dict(equilibrium_seeds(g64, 0.0, potential=P))["tanh_mid"]),
         **entropy,
     }
+
+
+class TestExactJacobian:
+    """In phi the stationary Jacobian is the exact derivative of mu, a' and a''
+    terms of a varying diffusion coefficient included."""
+
+    class Captured(Exception):
+        pass
+
+    @pytest.mark.parametrize("bc", ["neumann", "periodic"])
+    def test_phi_block_matches_finite_differences(self, bc, monkeypatch):
+        M = deep_quench_ch(gamma=1e-2)  # a = 1 + s^2/2
+        grid = Grid((12, 9), (1.0, 0.75), bc)
+        phi = np.random.default_rng(12).uniform(-0.6, 0.6, grid.n_cells)
+        blocks = []
+
+        def capture(B, *args):
+            blocks.append(B.toarray())
+            raise self.Captured
+
+        monkeypatch.setattr(stationary, "_newton_step", capture)
+        with pytest.raises(self.Captured):
+            solve_equilibrium(M, float(phi.mean()), Field(grid, phi), tol=1e-12)
+        h, n = 1e-6, grid.n_cells
+        J = np.column_stack([
+            (chemical_potential(M, Field(grid, phi + h * e)).data
+             - chemical_potential(M, Field(grid, phi - h * e)).data) / (2 * h)
+            for e in np.eye(n)])
+        B = blocks[0]
+        assert np.abs(B - J).max() <= 1e-8 * np.abs(J).max()
+        assert np.abs(B - B.T).max() <= 1e-14 * np.abs(B).max()
+
+    @pytest.mark.parametrize("seed", ["tanh_mid", "tanh_flip"])
+    def test_layer_seed_with_varying_diffusion_converges_fast(self, seed):
+        # the model of the 2D spinodal benchmark: a frozen-a Jacobian takes 11
+        # iterations here and ends at 7.5e-13
+        M = deep_quench_ch(gamma=1e-2)
+        grid = Grid((32, 32), (1.0, 1.0))
+        guess = dict(equilibrium_seeds(grid, 0.0, potential=M.potential))[seed]
+        eq = solve_equilibrium(M, 0.0, guess, tol=1e-13)
+        assert eq.iterations <= 7
+        assert eq.residual_l2 <= 1e-13
 
 
 class TestAgainstDenseOracle:
