@@ -384,7 +384,7 @@ class OmegaLimitEstimate:
     polish_error: str | None = None     # why the polish found no nearest_eq
 
 
-def omega_limit_estimate(traj, gts: GoodTimeSet | None, n_reps: int, tol: float,
+def omega_limit_estimate(traj, gts: GoodTimeSet | None, n_reps: int = 8, tol: float = 1e-5,
                          model=None, polish_tol: float = 1e-10) -> OmegaLimitEstimate:
     """Probe the late-time limit set with geometrically spaced snapshots.
 

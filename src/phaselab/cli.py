@@ -42,6 +42,9 @@ from .errors import (
 ENV_OUTPUT_ROOT = "PHASELAB_OUTPUT_ROOT"
 SCHEMA_TAG = "phaselab-run-2"
 SNAPSHOTS = "snapshots.npy"
+# The residual an equilibrium seed must reach, and the De Giorgi levels analyze evaluates.
+EQ_TOL = 1e-10
+DEGIORGI_NMAX = 10
 # The versions every run record depends on (the kernel FFT is numpy's).
 ENVIRONMENT = {"python": platform.python_version(), "numpy": np.__version__,
                "scipy": scipy.__version__}
@@ -172,13 +175,12 @@ def cmd_simulate(args) -> int:
 
 def cmd_equilibrium(args) -> int:
     cfg = parse_config(args.config)
-    outdir = _prepare_outdir(cfg)
     started = time.time()
     grid = cfg.build_grid()
-    model = cfg.build_model()
-    pars = cfg.analysis_params()
+    model = cfg.build_model()  # a model that fails to build leaves no run directory
+    outdir = _prepare_outdir(cfg)
     k = cfg.values["initial"]["mean"]
-    kinds = tuple(pars["eq_seeds"].split())
+    kinds = tuple(cfg.values["analysis"]["eq_seeds"].split())
     files = [outdir / "config.ini"]
     assertions = {}
     results = []
@@ -191,7 +193,7 @@ def cmd_equilibrium(args) -> int:
             continue
         key = f"eq_{seed_id}"
         try:
-            eq = st.solve_equilibrium(model, k, guess, tol=pars["eq_tol"],
+            eq = st.solve_equilibrium(model, k, guess, tol=EQ_TOL,
                                       seed_id=seed_id)
         except PhaselabError as exc:
             # stationary states are guess-dependent; a seed landing outside
@@ -205,7 +207,7 @@ def cmd_equilibrium(args) -> int:
         snap = outdir / f"{key}.dat"
         g.save_field(snap, eq.phi_inf)
         files += [snap, _write_json(outdir / f"{key}.json", eq.sidecar())]
-        assertions[key] = (eq.residual_l2 <= pars["eq_tol"] and eq.delta > 0)
+        assertions[key] = (eq.residual_l2 <= EQ_TOL and eq.delta > 0)
         results.append(eq.sidecar())
     assertions["any_converged"] = converged > 0
     files.append(_write_json(outdir / "equilibria.json", results))
@@ -252,9 +254,9 @@ def _analysis_report(traj: Trajectory, pars: dict) -> tuple[dict, dict, list]:
     good_entries = []
     gts_for_fit = None
     for M in pars["m_levels"]:
-        gts = an.classify_good_times(traj, M, pars["good_t"], strict=False)
+        gts = an.classify_good_times(traj, M, strict=False)
         good_entries.append({
-            "M": M, "T": pars["good_t"], "bad_measure": gts.bad_measure,
+            "M": M, "T": gts.T, "bad_measure": gts.bad_measure,
             "bound": gts.bound, "ok": gts.ok,
             "implied_bound": gts.implied_bound, "chain_ok": gts.chain_ok,
         })
@@ -271,7 +273,7 @@ def _analysis_report(traj: Trajectory, pars: dict) -> tuple[dict, dict, list]:
     t_star = None
     for delta in pars["delta_levels"]:
         try:
-            rep = an.level_set_series(traj, delta, pars["window_frac"])
+            rep = an.level_set_series(traj, delta)
         except InsufficientSnapshotsError:
             continue
         level_sets.append((delta, rep))
@@ -284,13 +286,12 @@ def _analysis_report(traj: Trajectory, pars: dict) -> tuple[dict, dict, list]:
                             "levels": level_entries}
 
     degiorgi = None
-    dg_delta = pars["degiorgi_delta"] or (0.95 * delta_star if delta_star else None)
+    dg_delta = 0.95 * delta_star if delta_star else None
     if dg_delta:
         start = t_star if t_star is not None else t0 + 0.5 * (t1 - t0)
-        tau = pars["degiorgi_tau"] or max((t1 - start) / 3.5, 1e-9)
+        tau = max((t1 - start) / 3.5, 1e-9)
         try:
-            it = an.degiorgi_from_trajectory(traj, dg_delta, tau, t1,
-                                             n_max=pars["degiorgi_nmax"])
+            it = an.degiorgi_from_trajectory(traj, dg_delta, tau, t1, n_max=DEGIORGI_NMAX)
             degiorgi = {"delta": dg_delta, "tau": tau, "T": t1,
                         "y": [float(y) for y in it.y], "certified": it.certified}
         except (WindowOutOfRangeError, InsufficientSnapshotsError) as exc:
@@ -300,8 +301,7 @@ def _analysis_report(traj: Trajectory, pars: dict) -> tuple[dict, dict, list]:
     loja = None
     if gts_for_fit is not None:
         try:
-            lo = t0 + pars["loja_window_frac"] * (t1 - t0)
-            fit = an.lojasiewicz_fit(traj, gts_for_fit, window=(lo, t1))
+            fit = an.lojasiewicz_fit(traj, gts_for_fit)
             loja = {"theta": fit.theta, "C": fit.C, "fit_r2": fit.r2,
                     "E_inf": fit.e_inf}
         except DegenerateWindowError as exc:
@@ -310,8 +310,7 @@ def _analysis_report(traj: Trajectory, pars: dict) -> tuple[dict, dict, list]:
 
     omega = None
     try:
-        est = an.omega_limit_estimate(traj, gts_for_fit, pars["omega_reps"],
-                                      pars["omega_tol"])
+        est = an.omega_limit_estimate(traj, gts_for_fit)
         omega = {
             "dispersion": est.dispersion,
             "singleton": est.singleton,

@@ -23,15 +23,6 @@ from .errors import ParseError, ValidationError
 from .stationary import SEED_KINDS
 
 
-def _as_bool(s: str) -> bool:
-    v = s.strip().lower()
-    if v in ("1", "true", "yes", "on"):
-        return True
-    if v in ("0", "false", "no", "off"):
-        return False
-    raise ValidationError(f"expected a boolean, got {s!r}")
-
-
 def _as_floats(s: str) -> tuple:
     return tuple(float(tok) for tok in s.replace(",", " ").split())
 
@@ -73,7 +64,6 @@ _SCHEMA = {
         "gamma": (float, ""),
         "sigma1": (int, ""),
         "sigma2": (int, ""),
-        "nonlocal_consistency": (_as_bool, "on"),
     },
     "initial": {
         "kind": (str, "constant"),
@@ -91,15 +81,6 @@ _SCHEMA = {
     "analysis": {
         "m_levels": (_as_floats, "0.1 1.0 10.0"),
         "delta_levels": (_as_floats, "0.01"),
-        "good_t": (float, "0.0"),
-        "degiorgi_nmax": (int, "10"),
-        "degiorgi_delta": (float, ""),
-        "degiorgi_tau": (float, ""),
-        "omega_reps": (int, "8"),
-        "omega_tol": (float, "1e-5"),
-        "loja_window_frac": (float, "0.5"),
-        "window_frac": (float, "0.5"),
-        "eq_tol": (float, "1e-10"),
         "eq_seeds": (str, "constant tanh"),
     },
     "output": {
@@ -160,11 +141,12 @@ class ExperimentConfig:
 
     def validate(self):
         v = self.values
-        dim = v["grid"]["dim"]
-        if dim not in (1, 2):
+        if v["grid"]["dim"] not in (1, 2):
             raise ValidationError("grid dim must be 1 or 2")
-        if v["grid"]["bc"] not in (g.NEUMANN, g.PERIODIC):
-            raise ValidationError(f"unknown boundary mode {v['grid']['bc']!r}")
+        try:
+            self.build_grid()
+        except ValueError as exc:
+            raise ValidationError(f"[grid] {exc}") from exc
         if v["potential"]["kind"] != "logarithmic":
             # a custom potential needs callables, which a config file cannot carry
             raise ValidationError(
@@ -210,8 +192,6 @@ class ExperimentConfig:
                     continue
                 if isinstance(val, tuple):
                     val = " ".join(repr(float(x)) for x in val)
-                elif isinstance(val, bool):
-                    val = "on" if val else "off"
                 elif isinstance(val, float):
                     val = repr(val)
                 out.write(f"{key} = {val}\n")
@@ -255,7 +235,6 @@ class ExperimentConfig:
         kernel = ph.KernelSpec(v["kernel"]["kind"], v["kernel"]["scale"],
                                v["kernel"]["support"])
         m = self.values["model"]
-        consistency = m["nonlocal_consistency"]
         preset = m["preset"]
 
         def pick(name, default):
@@ -269,12 +248,10 @@ class ExperimentConfig:
                                            gamma=pick("gamma", 0.01))
         if preset == "NONLOCAL_CH":
             return ph.nonlocal_cahn_hilliard(P, mob, kernel,
-                                             alpha=pick("alpha", 1.0),
-                                             nonlocal_consistency=consistency)
+                                             alpha=pick("alpha", 1.0))
         return ph.ModelConfig(m["alpha"], m["beta"], m["gamma"],
                               m["sigma1"], m["sigma2"], P, mob, dif,
-                              kernel=kernel if m["sigma2"] else None,
-                              nonlocal_consistency=consistency)
+                              kernel=kernel if m["sigma2"] else None)
 
     def build_stepper(self) -> StepperConfig:
         # every stepper setting is a [time] key of the same name

@@ -6,8 +6,8 @@ One semi-implicit step solves
 
 with the gradient diffusion (its coefficient a frozen at the old state) and
 the whole local part F'(phi+) + c phi+ implicit (backward Euler in the local
-potential; c is ``physics.linear_coefficient``, -sigma1 theta0 plus J*1 for
-the consistent nonlocal term), while the nonlocal -J*phi and the a'
+potential; c is ``physics.linear_coefficient``, -sigma1 theta0 plus the
+kernel row sums J*1 of a nonlocal model), while the nonlocal -J*phi and the a'
 gradient-square term stay explicit.  -J*phi is extrapolated linearly from
 the last two accepted states (IMEX; Ascher, Ruuth & Wetton, SIAM J. Numer.
 Anal. 32, 1995): lagged, its O(dt^2) energy-gate defect throttled every
@@ -97,7 +97,6 @@ class StepperConfig:
     dt_min: float = 1e-12
     dt_max: float = 1e-2
     newton_tol: float = 1e-10
-    newton_max_iter: int = 50
     tol_e: float = 1e-10
     snapshot_every: int = 50
     steady_tol: float = 1e-9
@@ -108,8 +107,8 @@ class StepperConfig:
             raise ValueError("need 0 < dt_min <= dt_init <= dt_max")
         if self.newton_tol <= 0 or self.tol_e <= 0:
             raise ValueError("tolerances must be positive")
-        if min(self.snapshot_every, self.newton_max_iter, self.steady_dwell) < 1:
-            raise ValueError("snapshot_every, newton_max_iter and steady_dwell must be >= 1")
+        if min(self.snapshot_every, self.steady_dwell) < 1:
+            raise ValueError("snapshot_every and steady_dwell must be >= 1")
 
 
 # Trajectory attribute -> (diagnostics.csv column, value type), in CSV order.
@@ -245,10 +244,11 @@ CHORD_RTOL = 1e-8
 GROW_FACTOR = 1.2
 GROW_EVERY = 5
 GATE_SAFETY = 0.8
-# A Newton pass with a fresh LU halves its damping at most this often.
+# Newton passes per step, and damping halvings of a pass with a fresh LU.
+NEWTON_MAX_ITER = 50
 MAX_BACKTRACKS = 40
 # The recorder keeps a snapshot in each of this many equal slots of [0, t_max]:
-# twice the default omega_reps, so the trailing half holds enough for analyze.
+# twice omega_limit_estimate's default n_reps, so the trailing half holds enough for analyze.
 SNAPSHOT_SLOTS = 16
 
 
@@ -414,16 +414,16 @@ def step(M: ph.ModelConfig, s: State, dt: float, cfg: StepperConfig,
     rnorm = math.sqrt(np.dot(resid, resid)) * sqrt_vol
     r0 = max(rnorm, math.sqrt(np.dot(inc, inc)) * sqrt_vol)  # the increment's size
     lam, stalled = 1.0, False  # the last pass's damping, and whether it stalled
-    for iters in range(cfg.newton_max_iter + 1):
+    for iters in range(NEWTON_MAX_ITER + 1):
         # at least one implicit pass: committing phi + dt rhs(x0) unsolved
         # would be an explicit step of the stiff operator
         if iters and rnorm <= cfg.newton_tol and (
                 rnorm <= min(0.01 * cfg.newton_tol, CHORD_RTOL * r0) or stalled
-                or iters == cfg.newton_max_iter):
+                or iters == NEWTON_MAX_ITER):
             break
-        if iters == cfg.newton_max_iter:
+        if iters == NEWTON_MAX_ITER:
             raise NewtonDivergenceError(
-                f"no convergence in {cfg.newton_max_iter} iterations",
+                f"no convergence in {NEWTON_MAX_ITER} iterations",
                 iterations=iters, residual=rnorm,
             )
         fresh = lam < 1.0 or stalled or not ws.fits(dt)

@@ -356,7 +356,6 @@ class ModelConfig:
     mobility: MobilitySpec
     diffusion: DiffusionSpec
     kernel: KernelSpec | None = None
-    nonlocal_consistency: bool = True
     preset: str | None = None
 
     def __post_init__(self):
@@ -392,28 +391,24 @@ def conserved_allen_cahn(potential, beta=1.0, gamma=1.0) -> ModelConfig:
                        DiffusionSpec.constant(1.0), preset=PRESET_AC)
 
 
-def nonlocal_cahn_hilliard(potential, mobility, kernel, alpha=1.0,
-                           nonlocal_consistency=True) -> ModelConfig:
+def nonlocal_cahn_hilliard(potential, mobility, kernel, alpha=1.0) -> ModelConfig:
     """Convolution-kernel transport model (alpha>0, gamma=0, sigma2=1)."""
     if alpha <= 0:
         raise ValidationError("NONLOCAL_CH needs alpha > 0")
     return ModelConfig(alpha, 0.0, 0.0, 0, 1, potential, mobility,
                        DiffusionSpec.constant(1.0), kernel=kernel,
-                       nonlocal_consistency=nonlocal_consistency,
                        preset=PRESET_NONLOCAL)
 
 
 def linear_coefficient(M: ModelConfig, grid: g.Grid) -> np.ndarray | float:
     """The coefficient of mu's local linear term: -sigma1 theta0, plus the
-    kernel row sums J*1 when the nonlocal term is the consistent one.
+    kernel row sums J*1 of the nonlocal term when sigma2 = 1.
 
     The chemical potential, both Newton Jacobians and the stepper's dt bound
-    read it here; nothing else reads ``nonlocal_consistency``.
+    read it here.
     """
     c = -M.sigma1 * M.potential.theta0
-    if M.sigma2 and M.nonlocal_consistency:
-        return M.kernel.matrix(grid).row_sums + c
-    return c
+    return M.kernel.matrix(grid).row_sums + c if M.sigma2 else c
 
 
 class _once(cached_property):
@@ -586,10 +581,9 @@ def grad_sq_cell(phi: g.Field) -> np.ndarray:
 def chemical_potential(M: ModelConfig, phi: g.Field) -> g.Field:
     """First variation of the discrete free energy.
 
-    With ``nonlocal_consistency`` on, the convolution part carries the extra
-    diagonal (J*1) phi term (through ``linear_coefficient``) so that mu is the
-    exact gradient of the double-integral energy on the bounded domain;
-    switched off, the literal -J*phi form is produced instead.
+    The convolution part carries the diagonal (J*1) phi term (through
+    ``linear_coefficient``) next to -J*phi, so that mu is the exact gradient
+    of the double-integral energy on the bounded domain.
     """
     return g.Field(phi.grid, Evaluation(M, phi).mu)
 

@@ -213,7 +213,9 @@ def separation_bound(e: EquilibriumState, full: bool = False):
 
     For the nonlocal model additionally checks the kernel gradient bound
     |grad phi_inf|_{L2} <= |grad J|_{L1} / theta and reports both sides when
-    ``full`` is requested.
+    ``full`` is requested.  The bound follows from F'' >= theta for the
+    stationary form F'(phi) - J*phi = const; mu also carries the kernel row
+    sums (and -theta0 phi when sigma1 = 1), so here it is an empirical check.
     """
     delta = 1.0 - float(np.max(np.abs(e.phi_inf.data)))
     report = SeparationReport(delta=delta)

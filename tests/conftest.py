@@ -207,12 +207,12 @@ def unit_face_weights(grid: Grid) -> FaceField:
 
 
 def jacobian_diagonal_oracle(ws, x: np.ndarray) -> np.ndarray:
-    """c = F''(x) - sigma1 theta0 (+ w, the kernel row sums of the consistent
-    nonlocal term): the derivative of the step's local part, whose concave
-    term is implicit."""
+    """c = F''(x) - sigma1 theta0 (+ w, the kernel row sums of the nonlocal
+    term): the derivative of the step's local part, whose concave term is
+    implicit."""
     M = ws.M
     c = M.potential.d2F(x) - M.sigma1 * M.potential.theta0
-    if M.sigma2 and M.nonlocal_consistency:
+    if M.sigma2:
         c = c + M.kernel.matrix(ws.grid).row_sums
     return c
 

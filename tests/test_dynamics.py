@@ -49,12 +49,11 @@ def ac_model(theta=0.3, theta0=1.0, gamma=1e-3):
                                 beta=1.0, gamma=gamma)
 
 
-def nl_model(theta=0.3, theta0=1.0, consistency=True):
+def nl_model(theta=0.3, theta0=1.0):
     return nonlocal_cahn_hilliard(
         PotentialSpec.logarithmic(theta, theta0),
         MobilitySpec.polynomial([1.0, 0.0, -0.5], m_star=0.5),
         KernelSpec("gaussian", scale=0.1),
-        nonlocal_consistency=consistency,
     )
 
 
@@ -396,9 +395,8 @@ class TestExtrapolatedKernelTerm:
 
     @pytest.mark.parametrize("grid", [Grid((48,), (1.0,)), Grid((12, 10), (1.0, 0.8), "periodic")],
                              ids=["1d_neumann", "2d_periodic"])
-    @pytest.mark.parametrize("factory", [ch_model, ac_model, nl_model,
-                                         lambda: nl_model(consistency=False), general_model],
-                             ids=["ch", "ac", "nl", "nl_literal", "general"])
+    @pytest.mark.parametrize("factory", [ch_model, ac_model, nl_model, general_model],
+                             ids=["ch", "ac", "nl", "general"])
     def test_stepper_mu_is_the_chemical_potential(self, factory, grid):
         # at the state it froze, the stepper's matrix-free mu, its local linear
         # term implicit, is that state's chemical potential

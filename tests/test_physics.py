@@ -255,35 +255,6 @@ class TestChemicalPotential:
         mu2 = chemical_potential(ac, phi)
         assert np.max(np.abs(mu1.data - mu2.data)) <= 1e-14
 
-    def test_nonlocal_literal_form_brute_force(self):
-        # literal convolution form: mu_i = F'(phi_i) - sum_j K[i][j] phi_j
-        P = log_potential()
-        ker = KernelSpec("gaussian", scale=0.2)
-        M = nonlocal_cahn_hilliard(P, MobilitySpec.constant(1.0), ker,
-                                   nonlocal_consistency=False)
-        grid = Grid((8,), (1.0,))
-        phi = Field(grid, rng(1).uniform(-0.9, 0.9, 8))
-        K = dense_kernel(ker.matrix(grid))
-        oracle = np.array([
-            float(P.dF(phi.data[i])) - sum(K[i, j] * phi.data[j] for j in range(8))
-            for i in range(8)
-        ])
-        mu = chemical_potential(M, phi)
-        assert np.max(np.abs(mu.data - oracle)) <= 1e-12
-
-    def test_consistency_flag_changes_by_row_sum_term(self):
-        P = log_potential()
-        ker = KernelSpec("gaussian", scale=0.2)
-        M_on = nonlocal_cahn_hilliard(P, MobilitySpec.constant(1.0), ker)
-        M_off = nonlocal_cahn_hilliard(P, MobilitySpec.constant(1.0), ker,
-                                       nonlocal_consistency=False)
-        grid = Grid((16,), (1.0,))
-        phi = Field(grid, rng(2).uniform(-0.5, 0.5, 16))
-        w = ker.matrix(grid).row_sums
-        diff = chemical_potential(M_on, phi).data - chemical_potential(M_off, phi).data
-        assert np.allclose(diff, w * phi.data, atol=1e-14)
-
-
 class TestEnergy:
     def test_ac_constant(self):
         P = log_potential()
@@ -420,18 +391,3 @@ class TestVariationalConsistency:
                 ip = inner(chemical_potential(M, phi), v)
                 assert abs(fd - ip) <= 1e-5 * max(1.0, abs(ip)), (name, trial)
 
-    def test_literal_nonlocal_form_needs_correction(self):
-        P = log_potential()
-        ker = KernelSpec("gaussian", scale=0.15)
-        M = nonlocal_cahn_hilliard(P, MobilitySpec.constant(1.0), ker,
-                                   nonlocal_consistency=False)
-        grid = Grid((32,), (1.0,))
-        r = rng(7)
-        phi = Field(grid, r.uniform(-0.9, 0.9, 32))
-        v = Field(grid, r.uniform(-1.0, 1.0, 32))
-        eps = 1e-5
-        fd = (energy(M, Field(grid, phi.data + eps * v.data))
-              - energy(M, Field(grid, phi.data - eps * v.data))) / (2 * eps)
-        w = ker.matrix(grid).row_sums
-        corrected = chemical_potential(M, phi).data + w * phi.data
-        assert abs(fd - inner(Field(grid, corrected), v)) <= 1e-5 * max(1.0, abs(fd))

@@ -82,8 +82,7 @@ class TestResidual:
     def test_nonlocal_degenerate_kernel(self):
         P = log_potential()
         ker = KernelSpec("custom", scale=1.0, profile=lambda r: np.zeros_like(r))
-        M = nonlocal_cahn_hilliard(P, MobilitySpec.constant(1.0), ker,
-                                   nonlocal_consistency=False)
+        M = nonlocal_cahn_hilliard(P, MobilitySpec.constant(1.0), ker)
         grid = Grid((16,), (1.0,))
         k = 0.3
         res = stationary_residual(M, Field.constant(grid, k), float(P.dF(k)))
@@ -181,7 +180,7 @@ def dense_equilibrium(M, k, guess, tol=1e-12, max_iter=80):
     P = M.potential
     entropy = M.gamma == 0
     Kd = dense_kernel(M.kernel.matrix(grid)) if M.sigma2 else np.zeros((n, n))
-    w = Kd.sum(axis=1) if M.sigma2 and M.nonlocal_consistency else np.zeros(n)
+    w = Kd.sum(axis=1)
     phi_of = P.inverse_dF if entropy else (lambda z: z)
     z = P.dF(np.clip(guess.data, -1 + 1e-14, 1 - 1e-14)) if entropy else guess.data.copy()
 
@@ -241,10 +240,7 @@ def _oracle_cases():
     mob = MobilitySpec.polynomial([1.0, 0.0, -0.5], m_star=0.5)
     dif = DiffusionSpec.polynomial([1.0, 0.0, 0.5], a_star=1.0)
     g64 = Grid((64,), (1.0,))
-    g128 = Grid((128,), (1.0,))
     nl_on = nonlocal_cahn_hilliard(P, mob, KernelSpec("gaussian", scale=0.1))
-    nl_off = nonlocal_cahn_hilliard(P, mob, KernelSpec("gaussian", scale=0.08),
-                                    nonlocal_consistency=False)
     general = ModelConfig(1, 0, 1e-2, 1, 1, P, mob, dif,
                           kernel=KernelSpec("gaussian", scale=0.1))
     # two interfaces across the periodic wrap
@@ -277,7 +273,6 @@ def _oracle_cases():
         "nl_consistent": (nl_on, 0.1,
                           dict(equilibrium_seeds(Grid((16, 16), (1.0, 1.0)), 0.1,
                                                  potential=P))["tanh_mid"]),
-        "nl_literal": (nl_off, 0.0, tanh_seed(g128, width=0.08, amplitude=0.8)),
         "general_kernel": (general, 0.0,
                            dict(equilibrium_seeds(g64, 0.0, potential=P))["tanh_mid"]),
         **entropy,
@@ -428,7 +423,7 @@ class TestAgainstDenseOracle:
         assert abs(inexact.mu_inf - exact.mu_inf) <= 1e-10
 
     @pytest.mark.parametrize("case", ["ch_varying_diffusion", "ac", "nl_consistent",
-                                      "nl_literal", "general_kernel"])
+                                      "general_kernel"])
     def test_only_the_local_block_is_factored(self, case, monkeypatch):
         M, k, guess = _oracle_cases()[case]
         shapes = []
@@ -568,16 +563,18 @@ class TestSeparation:
         assert abs(eq1.delta - eq2.delta) <= 1e-6
 
     def test_nonlocal_gradient_bound(self):
-        # literal convolution stationary form admits layered states; the
-        # kernel-gradient inequality must hold with measurable slack
+        # the concave term (sigma1 = 1) with the kernel admits layered states;
+        # the kernel-gradient inequality, derived without the row-sum and
+        # concave terms, holds here empirically with measurable slack
+        # (measured |grad phi| = 5.67 against the bound 26.6)
         P = log_potential()
         mob = MobilitySpec.polynomial([1.0, 0.0, -0.5], m_star=0.5)
-        ker = KernelSpec("gaussian", scale=0.08)
-        M = nonlocal_cahn_hilliard(P, mob, ker, nonlocal_consistency=False)
+        M = ModelConfig(1, 0, 0, 1, 1, P, mob, DiffusionSpec.constant(1.0),
+                        kernel=KernelSpec("gaussian", scale=0.1))
         grid = Grid((128,), (1.0,))
         eq = solve_equilibrium(M, 0.0, tanh_seed(grid, width=0.08, amplitude=0.8),
                                tol=1e-11)
-        assert np.ptp(eq.phi_inf.data) > 1.5
+        assert np.ptp(eq.phi_inf.data) > 1.9
         rep = separation_bound(eq, full=True)
         assert rep.delta > 0.0
         assert rep.grad_norm <= rep.grad_bound
