@@ -118,6 +118,23 @@ class TestConfig:
         with pytest.raises((ParseError, Exception)):
             ExperimentConfig.from_string(text)
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("model", "nonlocal_consistency", "off"),
+        ("time", "newton_max_iter", "50"),
+        ("analysis", "loja_window_frac", "0.5"),
+        ("analysis", "eq_tol", "1e-10"),
+    ])
+    def test_removed_keys_rejected(self, tmp_path, section, key, value):
+        # a config written for the removed knobs fails loudly instead of
+        # running with a value it did not ask for
+        text = MINIMAL_AC.format(out=tmp_path)
+        if f"[{section}]" in text:
+            text = text.replace(f"[{section}]", f"[{section}]\n{key} = {value}")
+        else:
+            text += f"\n[{section}]\n{key} = {value}\n"
+        with pytest.raises(ParseError, match=f"unknown key '{key}'"):
+            ExperimentConfig.from_string(text)
+
     def test_unknown_section_rejected(self):
         with pytest.raises(ParseError):
             ExperimentConfig.from_string("[conjuring]\nx = 1\n")

@@ -240,9 +240,14 @@ def _oracle_cases():
     mob = MobilitySpec.polynomial([1.0, 0.0, -0.5], m_star=0.5)
     dif = DiffusionSpec.polynomial([1.0, 0.0, 0.5], a_star=1.0)
     g64 = Grid((64,), (1.0,))
+    g128 = Grid((128,), (1.0,))
     nl_on = nonlocal_cahn_hilliard(P, mob, KernelSpec("gaussian", scale=0.1))
     general = ModelConfig(1, 0, 1e-2, 1, 1, P, mob, dif,
                           kernel=KernelSpec("gaussian", scale=0.1))
+    # the concave term with the kernel (sigma1 = sigma2 = 1, gamma = 0) reaches
+    # layered nonlocal states
+    nl_layered = ModelConfig(1, 0, 0, 1, 1, P, mob, DiffusionSpec.constant(1.0),
+                             kernel=KernelSpec("gaussian", scale=0.1))
     # two interfaces across the periodic wrap
     gp = Grid((16, 12), (1.0, 0.75), "periodic")
     layers = 0.9 * np.tanh(2.0 * np.cos(2 * np.pi * gp.cell_centers()[0].ravel()))
@@ -273,6 +278,7 @@ def _oracle_cases():
         "nl_consistent": (nl_on, 0.1,
                           dict(equilibrium_seeds(Grid((16, 16), (1.0, 1.0)), 0.1,
                                                  potential=P))["tanh_mid"]),
+        "nl_layered": (nl_layered, 0.0, tanh_seed(g128, width=0.08, amplitude=0.8)),
         "general_kernel": (general, 0.0,
                            dict(equilibrium_seeds(g64, 0.0, potential=P))["tanh_mid"]),
         **entropy,
@@ -423,7 +429,7 @@ class TestAgainstDenseOracle:
         assert abs(inexact.mu_inf - exact.mu_inf) <= 1e-10
 
     @pytest.mark.parametrize("case", ["ch_varying_diffusion", "ac", "nl_consistent",
-                                      "general_kernel"])
+                                      "nl_layered", "general_kernel"])
     def test_only_the_local_block_is_factored(self, case, monkeypatch):
         M, k, guess = _oracle_cases()[case]
         shapes = []
