@@ -28,7 +28,7 @@ from . import analysis as an
 from . import grid as g
 from . import stationary as st
 from .config import ExperimentConfig, convert_value, parse_config
-from .dynamics import Trajectory, model_provenance, run
+from .dynamics import Trajectory, model_provenance, run, solvability_bound
 from .errors import (
     DegenerateWindowError,
     InsufficientSnapshotsError,
@@ -217,8 +217,13 @@ def cmd_equilibrium(args) -> int:
 
 
 def load_run(run_dir, cfg: ExperimentConfig | None = None) -> Trajectory:
-    """Rebuild a Trajectory (model, stepper counts) from a run directory and its config."""
+    """Rebuild a Trajectory (model, stepper counts) from a run directory and its config;
+    a directory that ``simulate`` did not write (no ``diagnostics.csv``) is a ParseError."""
     run_dir = Path(run_dir)
+    diagnostics = run_dir / "diagnostics.csv"
+    if not diagnostics.exists():
+        raise ParseError(f"{run_dir} holds no {diagnostics.name}, so it is not a simulated "
+                         f"run; run `phaselab simulate` on its config first")
     cfg = cfg or parse_config(run_dir / "config.ini")
     model = cfg.build_model()
     summary_file = run_dir / "summary.json"
@@ -241,7 +246,7 @@ def load_run(run_dir, cfg: ExperimentConfig | None = None) -> Trajectory:
             raise ParseError(f"{store}: {data.dtype} {data.shape}, expected float64 "
                              f"{(times.size, grid.n_cells)} from {times_file.name} and the grid")
         snaps = [(t, g.Field(grid, row)) for t, row in zip(times.tolist(), data)]
-    return Trajectory.read_csv(run_dir / "diagnostics.csv", grid, snapshots=snaps,
+    return Trajectory.read_csv(diagnostics, grid, snapshots=snaps,
                                provenance=provenance, model=model)
 
 
@@ -408,6 +413,8 @@ def cmd_sweep(args) -> int:
         # unresolved, like the base dir: the worker resolves it once
         variant.values["output"]["dir"] = str(Path(cfg.output_dir) / f"{section}.{name}={val}")
         variant.validate()
+        # every variant builds before any runs, so a bad one leaves no partial sweep
+        solvability_bound(variant.build_model(), variant.build_grid())
         outdir = _resolve_outdir(variant.output_dir)
         if outdir in payloads:
             raise ValidationError(f"sweep repeats the variant directory {outdir}")

@@ -364,7 +364,8 @@ class _StepWorkspace:
         The sparse part is A = I + dt R B, with R = beta I - alpha L_m and
         B = diag c - gamma L_a, c = F''(x) + ``physics.linear_coefficient``:
         both factors come from ``grid.local_block`` at the frozen coefficients,
-        the one place where L_a and L_m are assembled.  The mean subtraction
+        the one place where L_a and L_m are assembled, and ``linalg.factor``
+        factors it in the ordering kept for its pattern.  The mean subtraction
         adds -dt beta / n 1 c^T (L_a has zero column sums): the border
         col = -dt beta / n 1, row = c, corner = -1.
         """
@@ -374,7 +375,7 @@ class _StepWorkspace:
             @ g.local_block(self.grid, M.gamma, self.a_face, c)
         A.data *= dt
         A.setdiag(A.diagonal() + 1.0)
-        lu = spla.splu(A, **linalg.SPLU_ORDERING)
+        lu = linalg.factor(spla.splu, A)
         solve = lu.solve
         if M.beta > 0:
             border = linalg.bordered_solver(lu, np.full(self.n, -dt * M.beta / self.n), c, -1.0)

@@ -354,13 +354,18 @@ class KernelMatrix:
     """Discretized convolution with an even kernel over the domain only.
 
     ``K[i][j] = J(x_i - x_j) * cellVolume``; because the grid is uniform the
-    matrix is (block-)Toeplitz, so the matvec is the window ``[n-1, 2n-1)``
-    of the full linear convolution of u (length n per axis) with the stencil
-    (length 2n-1).  A circular convolution of period L adds to output k the
-    full-convolution terms at k +- L, which lie outside ``[0, 3n-2)`` for
-    every k in the window once L >= 2n-1: so each axis is padded only to
-    ``fast_length(2n - 1)``, where the stencil spectrum is computed once,
-    and each apply is one forward and one inverse real FFT.
+    matrix is (block-)Toeplitz, so the matvec is a window of the linear
+    convolution of u (length n per axis) with the stencil.  Let R be the
+    kernel's reach on an axis, the largest offset at which the stencil is
+    nonzero (read from the stencil, so it holds for any kernel; at most
+    n - 1).  The stencil's offsets [-R, R] then give the window ``[R, R + n)``
+    of a convolution of length n + 2R.  A circular convolution of period L
+    adds to output k the terms at k +- L, which lie outside ``[0, n + 2R)``
+    for every k in the window once L >= n + R: so each axis is padded only to
+    ``fast_length(n + R)`` (60x60 for the 0.1-scale Gaussian on a 40x40 grid,
+    R = 16; a kernel reaching across the domain gets ``fast_length(2n - 1)``),
+    where the spectrum of the offsets [-R, R] is computed once, and each apply
+    is one forward and one inverse real FFT.
     """
 
     def __init__(self, grid: Grid, stencil: np.ndarray):
@@ -372,10 +377,15 @@ class KernelMatrix:
             )
         self.grid = grid
         self.stencil = stencil
-        self._fshape = tuple(fast_length(m) for m in expected)
-        self._axes = tuple(range(len(expected)))
-        self._spectrum = np.fft.rfftn(stencil, self._fshape, self._axes)
-        self._window = tuple(slice(n - 1, 2 * n - 1) for n in grid.shape)
+        self._axes = tuple(range(grid.dim))
+        reach = []
+        for a, n in enumerate(grid.shape):
+            hit = np.flatnonzero(np.any(stencil != 0.0, axis=self._axes[:a] + self._axes[a + 1:]))
+            reach.append(int(np.abs(hit - (n - 1)).max()) if hit.size else 0)
+        self._fshape = tuple(fast_length(n + r) for n, r in zip(grid.shape, reach))
+        within = tuple(slice(n - 1 - r, n + r) for n, r in zip(grid.shape, reach))
+        self._spectrum = np.fft.rfftn(stencil[within], self._fshape, self._axes)
+        self._window = tuple(slice(r, r + n) for n, r in zip(grid.shape, reach))
 
     @classmethod
     def from_profile(cls, grid: Grid, profile) -> "KernelMatrix":

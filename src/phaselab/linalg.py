@@ -1,16 +1,56 @@
-"""Sparse linear algebra of both Newton solvers: the SuperLU setting, the
-elimination of a one-row, one-column border around an LU, and GMRES.
+"""Sparse linear algebra of both Newton solvers: the one SuperLU setting and
+the ordering it keeps per sparsity pattern, the elimination of a one-row,
+one-column border around an LU, and GMRES.
 """
 
 import math
+import types
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import NewtonDivergenceError
 
 # SuperLU settings of every sparse LU: the operators' sparsity patterns are
-# symmetric, so a minimum-degree ordering of A^T + A fills less than COLAMD.
-SPLU_ORDERING = {"permc_spec": "MMD_AT_PLUS_A", "options": {"SymmetricMode": True}}
+# symmetric, so a minimum-degree ordering of A^T + A fills less than COLAMD,
+# and at n ~ 1e3 panels of one column cost less set-up than SuperLU's default.
+SPLU_ORDERING = {"permc_spec": "MMD_AT_PLUS_A", "panel_size": 1,
+                 "options": {"SymmetricMode": True}}
+PLAN_CACHE = 8  # sparsity patterns whose ordering ``factor`` keeps
+_plans: dict = {}  # pattern -> (q, q^-1, data map, indices, indptr of A[q][:, q]), oldest first
+
+
+def factor(splu, A):
+    """LU of the square CSC matrix ``A`` by ``splu`` (scipy's, as the caller
+    looks it up) in the setting ``SPLU_ORDERING``, ordered once per pattern.
+
+    The minimum-degree ordering depends on the sparsity pattern alone.  The
+    first LU of a pattern keeps its final column ordering q (the postordered
+    ``perm_c``) and the CSC data map of ``A[q][:, q]``; each later LU of the
+    pattern gathers that matrix and factors it in natural order, and its
+    ``solve`` permutes b and x.  The key is the pattern itself, with the
+    indices sorted first (in place, as ``splu`` sorts them), so a plan cannot
+    go stale; the oldest of ``PLAN_CACHE`` plans goes first.
+    """
+    A.sort_indices()
+    key = (A.indptr.tobytes(), A.indices.tobytes())
+    if key in _plans:
+        q, perm, src, indices, indptr = _plans[key]
+        lu = splu(sp.csc_matrix((A.data[src], indices, indptr), shape=A.shape),
+                  **{**SPLU_ORDERING, "permc_spec": "NATURAL"})
+        return types.SimpleNamespace(solve=lambda b: lu.solve(b[q])[perm])
+    lu = splu(A, **SPLU_ORDERING)
+    perm = getattr(lu, "perm_c", None)  # a stand-in factor carries no ordering to keep
+    if perm is not None:
+        # entry (i, j) of A is entry (perm[i], perm[j]) of A[q][:, q], q = perm^-1
+        rows, cols = perm[A.indices], np.repeat(perm, np.diff(A.indptr))
+        src = np.lexsort((rows, cols))
+        if len(_plans) >= PLAN_CACHE:
+            del _plans[next(iter(_plans))]
+        _plans[key] = (np.argsort(perm), perm.astype(np.intp), src, rows[src], np.searchsorted(
+            cols[src], np.arange(A.shape[0] + 1)).astype(A.indptr.dtype))
+    return lu
+
 
 DENOM_FLOOR = 1e-12  # below this size relative to its terms a Schur complement is noise
 

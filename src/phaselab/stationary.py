@@ -14,29 +14,31 @@ throttles the step).  Each trial state gets one ``physics.Evaluation``; it
 supplies the residual and the diffusion terms of the next Jacobian, and in
 psi it takes psi as F'(phi).  A step backtracks at most
 ``MAX_BACKTRACKS`` halvings.  The bordered Jacobian is never formed densely:
-SuperLU factors only its n x n local block B, ``linalg.bordered_solver``
+in phi SuperLU factors only its n x n local block B (``linalg.factor``), in
+psi B is diagonal and is solved by division, ``linalg.bordered_solver``
 eliminates the border, and a kernel part, applied by FFT, leaves the full
 system to ``linalg.gmres``, preconditioned by that bordered block solve.
 GMRES solves Newton step k only to the Eisenstat-Walker forcing term eta_k
 (``ETA_MAX`` at the first step, then 0.9 times the squared ratio of the last
 two nonlinear residuals, kept between the floor ``GMRES_RTOL`` and the cap
 ``ETA_MAX``): inexact early steps, fast convergence near the solution.
-Without a kernel each step is the direct bordered solve.  B is
-``grid.local_block`` with the diagonal F'' + c (c the
-``physics.linear_coefficient``) scaled by t: in phi the exact Jacobian of
-mu (the stencil of a plus ``Evaluation.a_hessian``) on the grid's fixed
-pattern, in psi (gamma = 0) the diagonal 1 + c t.  A singular local block
-fails the step even where the bordered matrix is regular.  Stationary states
-are generally non-unique; which one is found depends on the initial guess, so
-seeds are first-class inputs and get recorded with the result.
+Without a kernel each step is the direct bordered solve.  With c the
+``physics.linear_coefficient``, B is in phi ``grid.local_block`` with the
+diagonal F'' + c, the exact Jacobian of mu (the stencil of a plus
+``Evaluation.a_hessian``) on the grid's fixed pattern, and in psi (gamma = 0)
+the diagonal 1 + c t, an array applied elementwise.  A singular local block
+(in psi, a zero or non-finite diagonal entry) fails the step even where the
+bordered matrix is regular.  Stationary states are generally non-unique;
+which one is found depends on the initial guess, so seeds are first-class
+inputs and get recorded with the result.
 """
 
 from __future__ import annotations
 
+import types
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import grid as g
@@ -96,15 +98,22 @@ GMRES_MAXITER = 20      # restart cycles; more means the linear solve is failing
 MAX_BACKTRACKS = 60
 
 
-def _newton_step(B: sp.csc_matrix, r, rhs, K, t, rtol):
+def _newton_step(B, r, rhs, K, t, rtol):
     """The step of the bordered Jacobian [[B - K diag(t), -1], [r, 0]] for
     right-hand side ``rhs``, and its GMRES iteration count; with a kernel K
-    the step solves to relative residual ``rtol``, without one it is exact."""
+    the step solves to relative residual ``rtol``, without one it is exact.
+    B is a sparse matrix, or the 1-D array of its diagonal (psi form)."""
     n = B.shape[0]
-    try:
-        lu = spla.splu(B, **linalg.SPLU_ORDERING)
-    except RuntimeError as exc:
-        raise NewtonDivergenceError("singular stationary Jacobian") from exc
+    if B.ndim == 1:  # diagonal: divide, and apply elementwise
+        if not np.all(np.isfinite(B) & (B != 0.0)):
+            raise NewtonDivergenceError("singular stationary Jacobian")
+        lu, local = types.SimpleNamespace(solve=lambda b: b / B), lambda x: B * x
+    else:
+        try:
+            lu = linalg.factor(spla.splu, B)
+        except RuntimeError as exc:
+            raise NewtonDivergenceError("singular stationary Jacobian") from exc
+        local = lambda x: B @ x
     border = linalg.bordered_solver(lu, np.full(n, -1.0), r, 0.0)
 
     def bordered(v):
@@ -115,7 +124,7 @@ def _newton_step(B: sp.csc_matrix, r, rhs, K, t, rtol):
 
     def matvec(v):
         x = v[:n]
-        return np.concatenate((B @ x - v[n] - K.apply_values(t * x), [(r * x).sum()]))
+        return np.concatenate((local(x) - v[n] - K.apply_values(t * x), [(r * x).sum()]))
 
     x, its, ok = linalg.gmres(matvec, bordered, rhs, rtol, GMRES_RESTART, GMRES_MAXITER)
     if not ok:
@@ -163,13 +172,14 @@ def solve_equilibrium(M: ph.ModelConfig, k: float, guess: g.Field,
         if rnorm <= tol and abs(res[n]) <= 1e-12:
             break
         d2 = P.d2F_checked(ev.phi)
-        # t = dphi/dz scales the columns and the border row; in psi (gamma = 0,
-        # so B is diagonal) F'' t is 1.  In phi B is the exact Jacobian of mu:
-        # the stencil of a at the iterate plus the a' and a'' face terms of the
-        # gradient energy's Hessian, so Newton converges quadratically
-        t, d2t = (1.0 / d2, 1.0) if entropy else (1.0, d2)
-        B = g.local_block(grid, M.gamma, None if entropy else ev.a_face, d2t + coef * t,
-                          None if entropy else ev.a_hessian)
+        # t = dphi/dz scales the columns and the border row; in psi (gamma = 0)
+        # F'' t is 1 and B is the array of its diagonal.  In phi B is the exact
+        # Jacobian of mu: the stencil of a at the iterate plus the a' and a''
+        # face terms of the gradient energy's Hessian, so Newton converges
+        # quadratically
+        t = 1.0 / d2 if entropy else 1.0
+        B = 1.0 + coef * t if entropy else \
+            g.local_block(grid, M.gamma, ev.a_face, d2 + coef, ev.a_hessian)
         try:
             step, its = _newton_step(B, t / n, -res, K, t, eta)
         except NewtonDivergenceError as exc:

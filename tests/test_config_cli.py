@@ -527,6 +527,15 @@ dir = {out}
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
+    def test_sweep_variant_that_fails_to_build_runs_nothing(self, tmp_path, capsys):
+        # theta0 = 0.2 < theta fails the model's build: checked before any variant runs
+        out = tmp_path / "sw"
+        cfg_path = write_cfg(tmp_path, MINIMAL_AC.format(out=out)
+                             .replace("t_max = 2.0", "t_max = 0.05"))
+        assert main(["sweep", str(cfg_path), "--axis", "potential.theta0=1.0,0.2"]) == 2
+        assert capsys.readouterr().err == "error: theta0 must exceed theta\n"
+        assert not out.exists()
+
     def test_sweep_under_relative_output_root(self, tmp_path, monkeypatch):
         # each variant directory is resolved against the root once, not twice
         monkeypatch.chdir(tmp_path)
@@ -784,6 +793,19 @@ class TestRunRecord:
         assert str(store) in str(exc.value)
         assert main(["analyze", str(out)]) == 2
         assert capsys.readouterr().err == f"error: {exc.value}\n"
+
+    def test_analyze_of_an_equilibrium_directory_is_typed(self, tmp_path, capsys):
+        out = tmp_path / "eq"
+        assert main(["equilibrium", str(write_cfg(tmp_path, MINIMAL_AC.format(out=out)))]) == 0
+        capsys.readouterr()
+        with pytest.raises(ParseError, match="run `phaselab simulate` on its config first"):
+            load_run(out)
+        assert main(["analyze", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {out} holds no diagnostics.csv, so it is not a " \
+                               f"simulated run; run `phaselab simulate` on its config first\n"
+        assert captured.out == ""
+        assert not (out / "report.json").exists()
 
     def test_analyze_parses_the_config_once(self, tmp_path, monkeypatch):
         out = tmp_path / "run"

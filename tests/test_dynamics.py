@@ -590,10 +590,11 @@ class TestLaggedJacobian:
     @pytest.mark.parametrize("shape", [(24,), (6, 5)])
     @pytest.mark.parametrize("factory", [ch_model, ac_model, nl_model])
     def test_jacobian_matches_sparse_algebra_oracle(self, monkeypatch, factory, shape, bc):
+        # the matrix handed to the LU; splu itself may see it permuted (linalg.factor)
         seen = []
-        real = dynamics.spla.splu
-        monkeypatch.setattr(dynamics, "spla", types.SimpleNamespace(
-            splu=lambda A, **kw: seen.append(A.toarray()) or real(A, **kw)))
+        real = linalg.factor
+        monkeypatch.setattr(linalg, "factor",
+                            lambda splu, A: seen.append(A.toarray()) or real(splu, A))
         M = factory()
         grid = Grid(shape, (1.0,) * len(shape), bc)
         phi = 0.1 + 0.3 * rng(3).uniform(-1.0, 1.0, grid.n_cells)
@@ -617,8 +618,11 @@ class TestLaggedJacobian:
         assert np.linalg.norm(J_y - b) <= 1e-12 * np.linalg.norm(b)
 
     def test_stepper_and_stationary_share_the_lu_ordering(self, monkeypatch):
+        # the first LU of a pattern orders it; later LUs of that pattern get it
+        # permuted by that ordering and keep it
         kwargs = []
         real = dynamics.spla.splu
+        monkeypatch.setattr(linalg, "_plans", {})
 
         def splu(A, **kw):
             kwargs.append(kw)
@@ -634,7 +638,12 @@ class TestLaggedJacobian:
         stepper_calls = len(kwargs)
         solve_equilibrium(M, 0.1, s.phi)
         assert 0 < stepper_calls < len(kwargs)
-        assert all(kw == linalg.SPLU_ORDERING for kw in kwargs)
+        # one ordering each for the stepper's pentadiagonal and the stationary
+        # tridiagonal pattern
+        planned = {**linalg.SPLU_ORDERING, "permc_spec": "NATURAL"}
+        assert kwargs[0] == kwargs[stepper_calls] == linalg.SPLU_ORDERING
+        assert kwargs.count(linalg.SPLU_ORDERING) == len(linalg._plans) == 2
+        assert kwargs.count(planned) == len(kwargs) - 2
 
     def test_lu_ordering_fills_less_than_colamd(self, monkeypatch):
         seen = []

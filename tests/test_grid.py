@@ -21,6 +21,7 @@ from phaselab import (
 )
 from phaselab.grid import FaceField, fast_length, weighted_laplacian_matrix
 from phaselab.errors import GridMismatchError, ParseError
+from phaselab.physics import KernelSpec
 from conftest import (
     dense_kernel,
     face_average,
@@ -328,6 +329,32 @@ class TestKernelMatrix:
         fast = K.apply_values(u)
         dense = dense_kernel(K) @ u
         assert np.max(np.abs(fast - dense)) <= 1e-10
+
+    @pytest.mark.parametrize("kind", ["gaussian", "tophat", "custom"])
+    def test_reach_padded_apply_matches_dense(self, kind):
+        # a custom profile with full support reaches across the grid: the padding
+        # falls back to fast_length(2n - 1)
+        spec = KernelSpec(kind, scale=0.1, profile=lambda r: np.exp(-r) if kind == "custom"
+                          else None)
+        grid = Grid((40, 40), (1.0, 1.0))
+        K = spec.matrix(grid)
+        u = rng(14).uniform(-1.0, 1.0, grid.n_cells)
+        ref = dense_kernel(K) @ u
+        assert np.max(np.abs(K.apply_values(u) - ref)) <= 1e-13 * np.max(np.abs(ref))
+        reach = {"gaussian": 16, "tophat": 4, "custom": 39}[kind]
+        assert K._fshape == (fast_length(40 + reach),) * 2
+        assert K._fshape == {"gaussian": (60, 60), "tophat": (45, 45), "custom": (80, 80)}[kind]
+
+    def test_reach_is_read_per_axis(self):
+        # reach 2 along axis 0 and 0 along axis 1, on a 1-cell-wide stencil
+        grid = Grid((9, 7), (1.0, 1.0))
+        stencil = np.zeros((17, 13))
+        stencil[6:11, 6] = [1.0, 2.0, 3.0, 2.0, 1.0]
+        K = KernelMatrix(grid, stencil)
+        assert K._fshape == (fast_length(11), fast_length(7))
+        u = rng(15).uniform(-1.0, 1.0, grid.n_cells)
+        ref = dense_kernel(K) @ u
+        assert np.max(np.abs(K.apply_values(u) - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     def test_fast_length_equals_scipy_next_fast_len(self):
         from scipy import fft

@@ -440,9 +440,11 @@ class TestAgainstDenseOracle:
             return splu(A, **kw)
 
         monkeypatch.setattr(stationary, "spla", types.SimpleNamespace(splu=spy))
-        solve_equilibrium(M, k, guess, tol=1e-12)
+        eq = solve_equilibrium(M, k, guess, tol=1e-12)
         n = guess.grid.n_cells
-        assert shapes and set(shapes) == {(n, n)}
+        # psi form (gamma = 0) divides by its diagonal block: no LU at all
+        assert len(shapes) == (eq.iterations - 1 if M.gamma > 0 else 0)
+        assert set(shapes) <= {(n, n)}
 
     @pytest.mark.parametrize("case, per_step", [("ch_varying_diffusion", 1), ("ac", 1),
                                                  ("nl_consistent", 0)])
@@ -457,9 +459,9 @@ class TestAgainstDenseOracle:
         monkeypatch.setattr(stationary, "spla", types.SimpleNamespace(
             splu=lambda A, **kw: lus.append(1) or splu(A, **kw)))
         eq = solve_equilibrium(M, k, guess, tol=1e-12)
-        # the last iteration only finds the residual converged
-        assert len(lus) == eq.iterations - 1 > 1
-        assert len(calls) == per_step * len(lus)
+        # the last iteration only finds the residual converged; psi has no LU either
+        assert eq.iterations - 1 > 1
+        assert len(lus) == len(calls) == per_step * (eq.iterations - 1)
 
     @pytest.mark.parametrize("breakdown", ["nan", "zero"])
     def test_unresolvable_border_is_typed(self, monkeypatch, breakdown):
@@ -485,6 +487,34 @@ class TestAgainstDenseOracle:
         assert np.linalg.matrix_rank(bordered) == n + 1
         with pytest.raises(NewtonDivergenceError, match="singular stationary Jacobian"):
             stationary._newton_step(B, 1.0 / n, np.ones(n + 1), None, 1.0,
+                                    stationary.GMRES_RTOL)
+
+    def test_diagonal_block_is_divided(self, monkeypatch):
+        # psi form hands its block as the array of the diagonal: no LU, and the
+        # step equals the dense bordered solve and the sparse-diagonal LU path
+        monkeypatch.setattr(stationary, "spla", None)
+        r = np.random.default_rng(21)
+        n = 12
+        d = r.uniform(-2.0, 2.0, n)
+        row = r.uniform(0.2, 1.0, n) / n
+        rhs = r.standard_normal(n + 1)
+        step, its = stationary._newton_step(d, row, rhs, None, 1.0, stationary.GMRES_RTOL)
+        dense = np.block([[np.diag(d), -np.ones((n, 1))], [row[None, :], np.zeros((1, 1))]])
+        ref = np.linalg.solve(dense, rhs)
+        assert its == 0
+        assert np.linalg.norm(step - ref) <= 1e-13 * np.linalg.norm(ref)
+        monkeypatch.undo()
+        lu_step, _ = stationary._newton_step(sp.diags(d, format="csc"), row, rhs, None, 1.0,
+                                             stationary.GMRES_RTOL)
+        assert np.linalg.norm(step - lu_step) <= 1e-14 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("bad", [0.0, np.nan, np.inf])
+    def test_singular_diagonal_block_is_typed(self, bad):
+        n = 8
+        d = np.ones(n)
+        d[3] = bad
+        with pytest.raises(NewtonDivergenceError, match="singular stationary Jacobian"):
+            stationary._newton_step(d, 1.0 / n, np.ones(n + 1), None, 1.0,
                                     stationary.GMRES_RTOL)
 
     def test_singular_local_block_carries_the_newton_context(self, monkeypatch):
