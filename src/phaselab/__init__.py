@@ -15,13 +15,11 @@ __version__ = "0.1.0"
 from .grid import (
     Grid,
     Field,
-    FaceField,
     KernelMatrix,
     inner,
     norm_l2,
     norm_h1_semi,
     norm_hminus1,
-    convolve,
     save_field,
     load_field,
 )
@@ -41,7 +39,6 @@ from .physics import (
 from .dynamics import State, StepperConfig, Trajectory, step, run
 from .stationary import (
     EquilibriumState,
-    stationary_residual,
     solve_equilibrium,
     separation_bound,
     equilibrium_seeds,
@@ -51,13 +48,11 @@ from . import analysis
 __all__ = [
     "Grid",
     "Field",
-    "FaceField",
     "KernelMatrix",
     "inner",
     "norm_l2",
     "norm_h1_semi",
     "norm_hminus1",
-    "convolve",
     "save_field",
     "load_field",
     "PotentialSpec",
@@ -77,7 +72,6 @@ __all__ = [
     "step",
     "run",
     "EquilibriumState",
-    "stationary_residual",
     "solve_equilibrium",
     "separation_bound",
     "equilibrium_seeds",

@@ -149,16 +149,15 @@ def _simulate(cfg: ExperimentConfig, exist_ok: bool = True) -> tuple[Path, dict]
     ``Trajectory.verify`` re-checks from the recorded series.
     """
     started = time.time()
-    stepper = cfg.build_stepper()
     failed = None
     try:
         traj = run(cfg.build_model(), cfg.build_initial_field(cfg.build_grid()),
-                   cfg.t_max, stepper, provenance=cfg.provenance())
+                   cfg.t_max, cfg.build_stepper(), provenance=cfg.provenance())
     except StepFloorError as exc:
         traj, failed = exc.trajectory, str(exc)
     outdir = _prepare_outdir(cfg, exist_ok)
     files = _write_trajectory(outdir, traj)
-    checks = traj.verify(tol_e=stepper.tol_e)
+    checks = traj.verify()
     del checks["ok"]
     summary = {"schema": SCHEMA_TAG, "config_digest": cfg.digest(), "error": failed,
                **traj.summary()}
@@ -180,13 +179,11 @@ def cmd_equilibrium(args) -> int:
     model = cfg.build_model()  # a model that fails to build leaves no run directory
     outdir = _prepare_outdir(cfg)
     k = cfg.values["initial"]["mean"]
-    kinds = tuple(cfg.values["analysis"]["eq_seeds"].split())
     files = [outdir / "config.ini"]
     assertions = {}
     results = []
     converged = 0
-    for seed_id, guess in st.equilibrium_seeds(grid, k, kinds=kinds,
-                                               potential=model.potential):
+    for seed_id, guess in st.equilibrium_seeds(grid, k, potential=model.potential):
         if isinstance(guess, str):
             results.append({"seed_id": seed_id, "error": f"skipped: {guess}"})
             print(f"equilibrium: seed {seed_id} skipped: {guess}")

@@ -20,7 +20,6 @@ from . import grid as g
 from . import physics as ph
 from .dynamics import StepperConfig
 from .errors import ParseError, ValidationError
-from .stationary import SEED_KINDS
 
 
 def _as_floats(s: str) -> tuple:
@@ -81,7 +80,6 @@ _SCHEMA = {
     "analysis": {
         "m_levels": (_as_floats, "0.1 1.0 10.0"),
         "delta_levels": (_as_floats, "0.01"),
-        "eq_seeds": (str, "constant tanh"),
     },
     "output": {
         "dir": (str, "runs/out"),
@@ -176,9 +174,6 @@ class ExperimentConfig:
             self.build_stepper()
         except ValueError as exc:
             raise ValidationError(f"[time] {exc}") from exc
-        seeds = v["analysis"]["eq_seeds"]
-        if not seeds or not set(seeds.split()) <= set(SEED_KINDS):
-            raise ValidationError(f"[analysis] eq_seeds = {seeds!r}: not a subset of {SEED_KINDS}")
 
     # ---- canonical form ---------------------------------------------------
 

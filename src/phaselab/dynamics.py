@@ -13,7 +13,7 @@ the last two accepted states (IMEX; Ascher, Ruuth & Wetton, SIAM J. Numer.
 Anal. 32, 1995): lagged, its O(dt^2) energy-gate defect throttled every
 nonlocal run.  Their evaluations hold both convolutions, so this costs no
 FFT; a run's first step has no history and lags it.  With the concave term
-implicit the energy gate leans on tol_e only where E is nonconvex along the
+implicit the energy gate leans on TOL_E only where E is nonconvex along the
 step; the price is that the implicit map is monotone only below a dt bound
 (``solvability_bound``), at which ``run`` caps dt.  Damped Newton with
 pointwise clamping inside (-1, 1) is robust below it; the barrier of F'
@@ -28,11 +28,11 @@ the mean term as its border, across passes, retries and steps.  A pass
 stalls if it shrinks the residual less than 4-fold (a failed chord pass too).
 One rule refactors: when there is no LU, when dt has left [dt_f / 2, 2 dt_f]
 (dt_f the dt of the last LU), or when the previous pass backtracked or
-stalled above newton_tol.  One rule stops, after at least one pass (a commit
+stalled above NEWTON_TOL.  One rule stops, after at least one pass (a commit
 without an implicit solve would be an explicit step of the stiff operator):
-at min(0.01 newton_tol, CHORD_RTOL r0), r0 the size of the step's increment
+at min(0.01 NEWTON_TOL, CHORD_RTOL r0), r0 the size of the step's increment
 (the start's residual or its distance from phi, whichever is larger), or at
-a stalled pass below newton_tol, the roundoff floor.  ``run`` drops an LU
+a stalled pass below NEWTON_TOL, the roundoff floor.  ``run`` drops an LU
 factored off dt_max once dt settles there, so one LU serves the plateau.
 ``newton_iters`` counts every pass; ``provenance["factorizations"]`` the LUs.
 
@@ -48,13 +48,13 @@ whose discrete mean vanishes to roundoff (the flux form telescopes; the
 relaxation form subtracts the discrete mean of the whole right-hand side).
 
 The adaptive driver rejects any step that violates the one-step energy
-inequality E(phi+) + dt * D(phi+) <= E(phi) + tol_E (a NaN on either side
-violates it) and retries with half the step; trajectories that violate
-dissipation are worthless for the analysis layer, so violation is treated as
-failure, not warning.  Where the gate binds, its defect d = E(phi+) +
+inequality E(phi+) + dt * D(phi+) <= E(phi) + TOL_E (a NaN on either side
+violates it) and retries with half the step, down to DT_MIN; trajectories
+that violate dissipation are worthless for the analysis layer, so violation
+is treated as failure, not warning.  Where the gate binds, its defect d = E(phi+) +
 dt D(phi+) - E(phi) is O(dt^2): while D rises even the exact flow, with
 E(t + dt) - E(t) = -int D, exceeds -dt D(t + dt) by ~dt^2 D'/2.  So dt
-grows no further than dt sqrt(GATE_SAFETY tol_E / d) rather than into the
+grows no further than dt sqrt(GATE_SAFETY TOL_E / d) rather than into the
 gate.  Snapshots follow ``snapshot_every`` with a floor in time
 (``_Recorder``).  Each trial state is evaluated once (``physics.Evaluation``):
 the same evaluation feeds the gate, the recorded diagnostics and, once
@@ -91,22 +91,23 @@ class State:
     newton_iters: int = 0
 
 
+# Newton's residual tolerance, the energy gate's slack, and the dt below which a run gives up.
+NEWTON_TOL = 1e-10
+TOL_E = 1e-10
+DT_MIN = 1e-12
+
+
 @dataclass
 class StepperConfig:
     dt_init: float = 1e-5
-    dt_min: float = 1e-12
     dt_max: float = 1e-2
-    newton_tol: float = 1e-10
-    tol_e: float = 1e-10
     snapshot_every: int = 50
     steady_tol: float = 1e-9
     steady_dwell: int = 100
 
     def __post_init__(self):
-        if not (0 < self.dt_min <= self.dt_init <= self.dt_max):
-            raise ValueError("need 0 < dt_min <= dt_init <= dt_max")
-        if self.newton_tol <= 0 or self.tol_e <= 0:
-            raise ValueError("tolerances must be positive")
+        if not (DT_MIN <= self.dt_init <= self.dt_max):
+            raise ValueError(f"need DT_MIN = {DT_MIN:g} <= dt_init <= dt_max")
         if min(self.snapshot_every, self.steady_dwell) < 1:
             raise ValueError("snapshot_every and steady_dwell must be >= 1")
 
@@ -206,7 +207,7 @@ class Trajectory:
         }
 
     def verify(self, tol_mass: float = 1e-10, tol_mass_step: float = 1e-14,
-               tol_e: float = 1e-10) -> dict:
+               tol_e: float = TOL_E) -> dict:
         """Re-check the structural invariants from the recorded series."""
         out = {}
         out["finite"] = all(
@@ -233,14 +234,14 @@ class Trajectory:
 
 # Reuse an LU while dt is within this factor of its dt: beyond, stiff modes stop contracting.
 DT_WINDOW = 2.0
-# A pass shrinking the residual less than this stalls: above newton_tol the next pass refactors
+# A pass shrinking the residual less than this stalls: above NEWTON_TOL the next pass refactors
 # (one LU then beats more chord passes), below it the step has reached its roundoff floor.
 MIN_CONTRACTION = 4.0
 # A chord iterate also resolves the step's increment (~ its initial residual) to this accuracy,
 # since near steady state the fourth-order operator amplifies commit noise past steady_tol.
 CHORD_RTOL = 1e-8
 # Step-size control: after GROW_EVERY clean steps dt grows by GROW_FACTOR (up to dt_max),
-# but never past the dt that puts the next energy-gate defect at GATE_SAFETY * tol_e.
+# but never past the dt that puts the next energy-gate defect at GATE_SAFETY * TOL_E.
 GROW_FACTOR = 1.2
 GROW_EVERY = 5
 GATE_SAFETY = 0.8
@@ -386,7 +387,7 @@ class _StepWorkspace:
         return solve
 
 
-def step(M: ph.ModelConfig, s: State, dt: float, cfg: StepperConfig,
+def step(M: ph.ModelConfig, s: State, dt: float,
          _workspace: _StepWorkspace | None = None) -> State:
     """One semi-implicit step; raises NewtonDivergenceError / BoundsViolationError.
 
@@ -395,9 +396,9 @@ def step(M: ph.ModelConfig, s: State, dt: float, cfg: StepperConfig,
     the converged x.  A pass stalls if it shrinks the residual less than
     MIN_CONTRACTION-fold (a failed pass: not at all).  Refactor: a pass
     factors at its iterate when no LU ``fits`` dt or the previous pass
-    backtracked or stalled above newton_tol.  Stop: after at least one pass,
-    at min(0.01 newton_tol, CHORD_RTOL r0), r0 = max(|resid(x0)|, |x0 - phi|)
-    the size of the step's increment, or at a stalled pass below newton_tol
+    backtracked or stalled above NEWTON_TOL.  Stop: after at least one pass,
+    at min(0.01 NEWTON_TOL, CHORD_RTOL r0), r0 = max(|resid(x0)|, |x0 - phi|)
+    the size of the step's increment, or at a stalled pass below NEWTON_TOL
     (the roundoff floor, which flags no refactor).  ``newton_iters`` counts
     every pass, a failed chord pass included.
     """
@@ -418,8 +419,8 @@ def step(M: ph.ModelConfig, s: State, dt: float, cfg: StepperConfig,
     for iters in range(NEWTON_MAX_ITER + 1):
         # at least one implicit pass: committing phi + dt rhs(x0) unsolved
         # would be an explicit step of the stiff operator
-        if iters and rnorm <= cfg.newton_tol and (
-                rnorm <= min(0.01 * cfg.newton_tol, CHORD_RTOL * r0) or stalled
+        if iters and rnorm <= NEWTON_TOL and (
+                rnorm <= min(0.01 * NEWTON_TOL, CHORD_RTOL * r0) or stalled
                 or iters == NEWTON_MAX_ITER):
             break
         if iters == NEWTON_MAX_ITER:
@@ -436,12 +437,12 @@ def step(M: ph.ModelConfig, s: State, dt: float, cfg: StepperConfig,
                 rhs_n = ws.rhs_of(ws.mu_of(xn))
                 resid_n = xn - phi - dt * rhs_n
                 rn = math.sqrt(np.dot(resid_n, resid_n)) * sqrt_vol
-                if rn <= cfg.newton_tol or rn < r_prev * (1.0 - 1e-4 * lam):
+                if rn <= NEWTON_TOL or rn < r_prev * (1.0 - 1e-4 * lam):
                     x, rhs, resid, rnorm = xn, rhs_n, resid_n, rn
                     break
             lam *= 0.5
-        else:  # no decrease, so the pass stalls; with a fresh LU above newton_tol, Newton fails
-            if fresh and rnorm > cfg.newton_tol:
+        else:  # no decrease, so the pass stalls; with a fresh LU above NEWTON_TOL, Newton fails
+            if fresh and rnorm > NEWTON_TOL:
                 raise NewtonDivergenceError(
                     "damping exhausted (iterate pinned at the singular barrier)",
                     iterations=iters, residual=rnorm,
@@ -508,12 +509,12 @@ def run(M: ph.ModelConfig, phi0: g.Field, t_max: float, cfg: StepperConfig | Non
     inequality are rejected and retried with dt/2; after GROW_EVERY clean
     steps dt grows by GROW_FACTOR up to dt_max; dt_init and dt_max are capped
     at ``solvability_bound``.  An accepted step's gate defect d, O(dt^2) where
-    the gate binds, caps the next dt at dt sqrt(GATE_SAFETY tol_e / d) (a cap
+    the gate binds, caps the next dt at dt sqrt(GATE_SAFETY TOL_E / d) (a cap
     below dt restarts the clean count); ``provenance["gate_limited"]`` counts
     the accepted steps whose next dt the cap lowered.  Once dt settles at
     dt_max, an LU factored off it is dropped, so one LU serves the plateau.
-    Raises StepFloorError (with the partial trajectory attached) if dt_min is
-    reached while still failing.
+    Raises StepFloorError (with the partial trajectory attached) if dt falls
+    below DT_MIN while still failing.
     """
     cfg = cfg or StepperConfig()
     if np.max(np.abs(phi0.data)) > 1.0:
@@ -554,20 +555,20 @@ def run(M: ph.ModelConfig, phi0: g.Field, t_max: float, cfg: StepperConfig | Non
         dt_step = min(dt, t_max - state.t)
         kind = cause = None
         try:
-            new_state = step(M, state, dt_step, cfg, _workspace=ws)
+            new_state = step(M, state, dt_step, _workspace=ws)
         except (NewtonDivergenceError, BoundsViolationError) as exc:
             kind, cause = ("newton" if isinstance(exc, NewtonDivergenceError) else "bounds"), exc
         else:
             ev = ph.Evaluation(M, new_state.phi)
             # written so that a NaN energy or dissipation fails the gate
-            if not ev.energy + dt_step * ev.dissipation <= e_prev + cfg.tol_e:
+            if not ev.energy + dt_step * ev.dissipation <= e_prev + TOL_E:
                 kind = "energy"
         if kind:
             rejected[kind] += 1
             clean = 0
             dt *= 0.5
-            if dt < cfg.dt_min:
-                raise StepFloorError(f"dt fell below dt_min after {kind} failures",
+            if dt < DT_MIN:
+                raise StepFloorError(f"dt fell below DT_MIN after {kind} failures",
                                      finish("step_floor", False)) from cause
             continue
 
@@ -580,7 +581,7 @@ def run(M: ph.ModelConfig, phi0: g.Field, t_max: float, cfg: StepperConfig | Non
 
         clean += 1
         grow = GROW_FACTOR if clean >= GROW_EVERY else 1.0
-        pred = math.sqrt(GATE_SAFETY * cfg.tol_e / defect) if defect > 0 else math.inf
+        pred = math.sqrt(GATE_SAFETY * TOL_E / defect) if defect > 0 else math.inf
         dt_next = min(dt * min(grow, pred), dt_max)
         gate_limited += dt_next < min(dt * grow, dt_max)
         dt = dt_next

@@ -33,7 +33,7 @@ class BoundsViolationError(PhaselabError):
 
 
 class StepFloorError(PhaselabError):
-    """Time step shrank to dt_min and the step still fails.
+    """Time step fell below dynamics.DT_MIN and the step still fails.
 
     Carries the partial trajectory recorded so far (flagged incomplete).
     """

@@ -8,13 +8,10 @@ supported as an alternative boundary mode.
 Conventions:
 
 * A field stores one value per cell, flattened in row-major (C) order.
-* A face field stores one array per axis; along that axis it has n+1 entries
-  (entry 0 and entry n are the boundary faces; under periodic wrap they hold
-  the same physical face twice).
-* The discrete operators act on the physical faces only (``FaceOperator``,
-  one per grid as ``grid.faces``): interior faces, plus the wrap face under
-  periodic boundaries, each counted exactly once.  Zero-flux boundary faces
-  carry nothing and are left out.
+* Face values are flat arrays in ``grid.faces`` order, one entry per
+  physical face (``FaceOperator``, one per grid): interior faces, plus the
+  wrap face under periodic boundaries, each counted exactly once.  Zero-flux
+  boundary faces carry nothing and are left out.
 """
 
 from __future__ import annotations
@@ -116,36 +113,12 @@ class Field:
     def constant(cls, grid: Grid, value: float) -> "Field":
         return cls(grid, np.full(grid.n_cells, float(value)))
 
-    @property
-    def values_nd(self) -> np.ndarray:
-        return self.data.reshape(self.grid.shape)
-
     def mean(self) -> float:
         # uniform cells: volume-weighted mean == arithmetic mean
         return float(self.data.sum() / self.data.size)
 
     def copy(self) -> "Field":
         return Field(self.grid, self.data.copy())
-
-
-@dataclass
-class FaceField:
-    """Per-axis face values; axis a has shape[a]+1 entries along axis a."""
-
-    grid: Grid
-    components: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        if len(self.components) != self.grid.dim:
-            raise GridMismatchError("one face component required per axis")
-        for a, comp in enumerate(self.components):
-            expected = tuple(
-                n + 1 if a == b else n for b, n in enumerate(self.grid.shape)
-            )
-            if comp.shape != expected:
-                raise GridMismatchError(
-                    f"axis-{a} faces have shape {comp.shape}, expected {expected}"
-                )
 
 
 class StencilPattern(NamedTuple):
@@ -177,27 +150,21 @@ class FaceOperator:
 
     def __init__(self, grid: Grid):
         idx = np.arange(grid.n_cells).reshape(grid.shape)
-        lo, hi, inv_h, slots = [], [], [], []
-        offset = 0  # start of axis a's component in a flattened FaceField
+        lo, hi, inv_h = [], [], []
         for a, (n, h) in enumerate(zip(grid.shape, grid.spacing)):
-            face_shape = tuple(n + 1 if a == b else m for b, m in enumerate(grid.shape))
-            face_idx = offset + np.arange(int(np.prod(face_shape))).reshape(face_shape)
-            offset += face_idx.size
-            # (lo cells, hi cells, FaceField slot) along axis a
-            pairs = [(slice(0, n - 1), slice(1, n), slice(1, n))]
+            # (lo cells, hi cells) along axis a: the interior faces, then the wrap face
+            pairs = [(slice(0, n - 1), slice(1, n))]
             if grid.bc == PERIODIC:
-                pairs.append((slice(n - 1, n), slice(0, 1), slice(0, 1)))
-            for p, q, f in pairs:
+                pairs.append((slice(n - 1, n), slice(0, 1)))
+            for p, q in pairs:
                 along = (slice(None),) * a
                 lo.append(idx[along + (p,)].ravel())
                 hi.append(idx[along + (q,)].ravel())
-                slots.append(face_idx[along + (f,)].ravel())
                 inv_h.append(np.full(lo[-1].size, 1.0 / h))
         self.lo = np.concatenate(lo)
         self.hi = np.concatenate(hi)
         self.inv_h = np.concatenate(inv_h)
         self.inv_h2 = self.inv_h * self.inv_h
-        self._slots = np.concatenate(slots)
         self.n_cells = grid.n_cells
 
     @cached_property
@@ -236,10 +203,6 @@ class FaceOperator:
         sq, n = face_values * face_values, self.n_cells
         return 0.5 * (np.bincount(self.lo, sq, n) + np.bincount(self.hi, sq, n))
 
-    def gather(self, face_field: FaceField) -> np.ndarray:
-        """A FaceField's values on these faces (the wrap face read at entry 0)."""
-        return np.concatenate([c.ravel() for c in face_field.components])[self._slots]
-
 
 def inner(u: Field, v: Field) -> float:
     """L2 inner product: sum(u*v) * cell volume."""
@@ -258,18 +221,16 @@ def norm_h1_semi(u: Field) -> float:
     return float(np.sqrt(np.dot(gu, gu) * u.grid.cell_volume))
 
 
-def weighted_laplacian_matrix(grid: Grid, face_weights: FaceField | np.ndarray | float
-                              ) -> sp.csc_matrix:
+def weighted_laplacian_matrix(grid: Grid, w: np.ndarray | float) -> sp.csc_matrix:
     """Sparse matrix of u -> div(w grad u) = -G^T diag(w / h^2) G u, in CSC on
     ``grid.faces.pattern`` (symmetric, so its CSR arrays are its CSC).
 
-    ``face_weights`` is a FaceField, or w on the faces of ``grid.faces`` (an
-    array in face order, or a scalar for a constant coefficient).  One
-    ``bincount`` fills the pattern; the terms run face by face, so every entry
-    sums its faces in ascending order, as the product ``G^T (diag(s) G)`` would.
+    ``w`` holds the weights on the faces of ``grid.faces`` (an array in face
+    order, or a scalar for a constant coefficient).  One ``bincount`` fills
+    the pattern; the terms run face by face, so every entry sums its faces in
+    ascending order, as the product ``G^T (diag(s) G)`` would.
     """
     ops = grid.faces
-    w = ops.gather(face_weights) if isinstance(face_weights, FaceField) else face_weights
     p = ops.pattern
     terms = np.multiply.outer(-w * ops.inv_h2, (1.0, 1.0, -1.0, -1.0)).ravel()
     return sp.csc_matrix((np.bincount(p.slots, terms, p.indices.size), p.indices, p.indptr),
@@ -340,6 +301,8 @@ def _hminus1_weights(shape: tuple, spacing: tuple) -> np.ndarray:
 def fast_length(m: int) -> int:
     """The smallest 5-smooth integer (2^a 3^b 5^c) >= m >= 1: the lengths that
     pocketfft transforms fastest, as ``scipy.fft.next_fast_len(m, real=True)``."""
+    if m < 1:
+        raise ValueError(f"fast_length needs m >= 1, got {m}")
     while True:
         r = m
         for p in (2, 3, 5):
@@ -410,13 +373,6 @@ class KernelMatrix:
     def row_sums(self) -> np.ndarray:
         """(J * 1)(x_i)."""
         return self.apply_values(np.ones(self.grid.n_cells))
-
-
-def convolve(K: KernelMatrix, phi: Field) -> Field:
-    """(J * phi)(x_i) = sum_j K[i][j] phi_j."""
-    if K.grid != phi.grid:
-        raise GridMismatchError("kernel matrix built on a different grid")
-    return Field(phi.grid, K.apply_values(phi.data))
 
 
 def save_field(path, phi: Field):

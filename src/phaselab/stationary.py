@@ -79,12 +79,6 @@ class SeparationReport:
     bound_ok: bool | None = None
 
 
-def stationary_residual(M: ph.ModelConfig, phi: g.Field, mu_c: float) -> g.Field:
-    """mu(phi) - mu_c; identically zero exactly at a stationary state."""
-    mu = ph.chemical_potential(M, phi)
-    return g.Field(phi.grid, mu.data - mu_c)
-
-
 # GMRES settings of the bordered solve with a kernel part.  The nonlinear
 # residual decides convergence; GMRES only has to keep each step a Newton step.
 # Step k solves to the Eisenstat-Walker (1996) "choice 2" forcing term

@@ -4,6 +4,8 @@ The long physical runs are session-scoped so each happens once and every
 criterion that needs it reuses the cached result.
 """
 
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -23,7 +25,7 @@ from phaselab import (
 )
 from phaselab.dynamics import Trajectory
 from phaselab.errors import GridMismatchError
-from phaselab.grid import FaceField, weighted_laplacian_matrix
+from phaselab.grid import weighted_laplacian_matrix
 
 
 def make_synthetic_trajectory(times, *, grid=None, grad_mu=None, mu_fluct=None,
@@ -85,6 +87,28 @@ def dense_kernel(K) -> np.ndarray:
 # library's face-difference operator (grid.faces)
 
 
+class FaceField(NamedTuple):
+    """Per-axis face values: axis a has shape[a]+1 entries along axis a
+    (entries 0 and n are the boundary faces; under periodic wrap they hold
+    the same physical face twice)."""
+
+    grid: Grid
+    components: tuple
+
+
+def flat_faces(face_field: FaceField) -> np.ndarray:
+    """A FaceField's values on the physical faces, in ``grid.faces`` order:
+    per axis its interior faces, then under periodic wrap its wrap face
+    (read at entry 0)."""
+    grid, out = face_field.grid, []
+    for a, (n, comp) in enumerate(zip(grid.shape, face_field.components)):
+        along = (slice(None),) * a
+        out.append(comp[along + (slice(1, n),)].ravel())
+        if grid.bc == "periodic":
+            out.append(comp[along + (slice(0, 1),)].ravel())
+    return np.concatenate(out)
+
+
 def gradient(phi: Field) -> FaceField:
     """Face-centered differences of a cell field (slice-based oracle).
 
@@ -92,7 +116,7 @@ def gradient(phi: Field) -> FaceField:
     Boundary faces are zero for Neumann and wrap for periodic grids.
     """
     grid = phi.grid
-    u = phi.values_nd
+    u = phi.data.reshape(grid.shape)
     comps = []
     for a, (n, h) in enumerate(zip(grid.shape, grid.spacing)):
         shape = tuple(n + 1 if a == b else m for b, m in enumerate(grid.shape))
@@ -127,7 +151,7 @@ def face_average(phi: Field, mode: str = "arithmetic") -> FaceField:
     is zero regardless) and wrap-average under periodic boundaries.
     """
     grid = phi.grid
-    u = phi.values_nd
+    u = phi.data.reshape(grid.shape)
     comps = []
     for a, n in enumerate(grid.shape):
         shape = tuple(n + 1 if a == b else m for b, m in enumerate(grid.shape))

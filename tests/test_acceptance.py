@@ -12,7 +12,6 @@ from phaselab import (
     Grid,
     KernelSpec,
     State,
-    StepperConfig,
     chemical_potential,
     energy,
     inner,
@@ -147,7 +146,7 @@ class TestCriterion6SingleEquilibrium:
             for dt in (1e-4, 1e-2):
                 moved = norm_l2(Field(
                     traj.grid,
-                    step(traj.model, State(eq.phi_inf), dt, StepperConfig()).phi.data
+                    step(traj.model, State(eq.phi_inf), dt).phi.data
                     - eq.phi_inf.data))
                 assert moved <= 1e-8, (preset, dt, moved)
         print("[criterion 6] PASS all presets reach dissipation < 1e-9 with "

@@ -70,7 +70,7 @@ class TestStep:
         M = ac_model()
         grid = Grid((32,), (1.0,))
         s = State(Field.constant(grid, 0.2))
-        out = step(M, s, 1e-2, StepperConfig())
+        out = step(M, s, 1e-2)
         assert np.array_equal(out.phi.data, s.phi.data)
 
     @pytest.mark.parametrize("factory", [ch_model, ac_model, nl_model])
@@ -79,7 +79,7 @@ class TestStep:
         grid = Grid((48,), (1.0,))
         eq = solve_equilibrium(M, k=0.9, guess=Field.constant(grid, 0.9), tol=1e-13)
         for dt in (1e-4, 1e-2):
-            out = step(M, State(eq.phi_inf), dt, StepperConfig())
+            out = step(M, State(eq.phi_inf), dt)
             moved = norm_l2(Field(grid, out.phi.data - eq.phi_inf.data))
             assert moved <= 1e-9, (M.preset, dt, moved)
 
@@ -89,9 +89,8 @@ class TestStep:
         r = rng(1)
         vals = np.clip(0.05 + 0.3 * r.standard_normal(64), -0.8, 0.8)
         s = State(Field(grid, vals))
-        cfg = StepperConfig()
         e0 = energy(M, s.phi)
-        out = step(M, s, 1e-3, cfg)
+        out = step(M, s, 1e-3)
         assert abs(out.phi.mean() - s.phi.mean()) <= 1e-14
         assert energy(M, out.phi) <= e0 + 1e-10
 
@@ -101,7 +100,7 @@ class TestStep:
         grid = Grid((64,), (1.0,))
         vals = 0.97 * np.cos(4 * np.pi * grid.axes()[0])
         s = State(Field(grid, vals))
-        out = step(M, s, 1e-4, StepperConfig())
+        out = step(M, s, 1e-4)
         assert np.max(np.abs(out.phi.data)) < 1.0
 
     def test_first_order_consistency(self):
@@ -110,34 +109,32 @@ class TestStep:
         grid = Grid((64,), (1.0,))
         x = grid.axes()[0]
         s = State(Field(grid, 0.1 + 0.2 * np.cos(np.pi * x)))
-        cfg = StepperConfig()
         T = 4e-3
         ref = s
         for _ in range(64):
-            ref = step(M, ref, T / 64, cfg)
+            ref = step(M, ref, T / 64)
         errs = []
         for nsteps in (2, 4):
             cur = s
             for _ in range(nsteps):
-                cur = step(M, cur, T / nsteps, cfg)
+                cur = step(M, cur, T / nsteps)
             errs.append(norm_l2(Field(grid, cur.phi.data - ref.phi.data)))
         ratio = errs[0] / errs[1]
         assert 1.6 <= ratio <= 2.6
 
 
     def test_commit_follows_an_implicit_pass(self):
-        # at this dt the unsolved start already meets 0.01 * newton_tol; the
+        # at this dt the unsolved start already meets 0.01 * NEWTON_TOL; the
         # step must still solve once instead of committing an explicit step
         M = ch_model()
         grid = Grid((32,), (1.0,))
         s = State(Field(grid, 0.1 + 0.3 * np.cos(2 * np.pi * grid.axes()[0])))
-        cfg = StepperConfig()
         ws = dynamics._StepWorkspace(M, s.phi)
         rhs = ws.rhs_of(ws.mu_of(s.phi.data))
-        dt = 1e-3 * cfg.newton_tol / float(np.linalg.norm(rhs))
+        dt = 1e-3 * dynamics.NEWTON_TOL / float(np.linalg.norm(rhs))
         r0 = dt * float(np.linalg.norm(rhs)) * np.sqrt(grid.cell_volume)
-        assert r0 <= 0.01 * cfg.newton_tol
-        out = step(M, s, dt, cfg)
+        assert r0 <= 0.01 * dynamics.NEWTON_TOL
+        out = step(M, s, dt)
         assert out.newton_iters >= 1
 
 
@@ -190,18 +187,20 @@ class TestRun:
         assert traj.snapshots[-1][0] == pytest.approx(traj.times[-1])
         assert len(traj.snapshots) >= 5
 
-    def test_step_floor_carries_partial_trajectory(self):
+    def test_step_floor_carries_partial_trajectory(self, monkeypatch):
         M = ac_model()
         grid = Grid((16,), (1.0,))
         phi0 = Field(grid, 0.1 + 0.5 * np.cos(2 * np.pi * grid.axes()[0]))
         # impossible tolerance forces endless energy rejections
-        cfg = StepperConfig(dt_init=1e-3, dt_min=0.99e-3, dt_max=1e-3, tol_e=1e-300)
+        monkeypatch.setattr(dynamics, "TOL_E", 1e-300)
+        monkeypatch.setattr(dynamics, "DT_MIN", 0.99e-3)
+        cfg = StepperConfig(dt_init=1e-3, dt_max=1e-3)
         with pytest.raises(StepFloorError) as err:
             run(M, phi0, 1.0, cfg)
         traj = err.value.trajectory
         assert traj is not None and not traj.complete
 
-    def test_nan_energy_is_an_energy_rejection(self):
+    def test_nan_energy_is_an_energy_rejection(self, monkeypatch):
         # F is NaN at every state but the initial one, so each trial state's
         # gate compares NaN: that must reject, not pass
         base = PotentialSpec.logarithmic(0.3, 1.0)
@@ -216,7 +215,8 @@ class TestRun:
 
         P = PotentialSpec.custom(0.3, 1.0, f0, base.dF, base.d2F)
         M = conserved_allen_cahn(P, beta=1.0, gamma=1e-2)
-        cfg = StepperConfig(dt_init=1e-3, dt_min=1e-6, dt_max=1e-3)
+        monkeypatch.setattr(dynamics, "DT_MIN", 1e-6)
+        cfg = StepperConfig(dt_init=1e-3, dt_max=1e-3)
         with pytest.raises(StepFloorError) as err:
             run(M, phi0, 1.0, cfg)
         traj = err.value.trajectory
@@ -329,7 +329,7 @@ class TestGateController:
     so the defect E+ + dt D+ - E is ~dt^2 D'/2 and the gate binds.  Halving
     on rejection and regrowing 1.2-fold every five clean steps took 1119
     accepted / 57 rejected steps on this run; capping growth at
-    dt sqrt(GATE_SAFETY tol_e / defect) takes 913 / 0.
+    dt sqrt(GATE_SAFETY TOL_E / defect) takes 913 / 0.
     """
 
     T = 0.5
@@ -356,7 +356,7 @@ class TestGateController:
         assert np.mean(controlled.newton_iters[1:]) <= 1.1
 
     def test_cap_shrinks_dt_at_most_by_sqrt_safety(self, controlled):
-        # an accepted defect is at most tol_e; the last step is cut to reach T
+        # an accepted defect is at most TOL_E; the last step is cut to reach T
         ratios = controlled.dt[2:-1] / controlled.dt[1:-2]
         assert ratios.min() >= np.sqrt(dynamics.GATE_SAFETY) * (1.0 - 1e-9)
         assert ratios.min() < 1.0
@@ -560,7 +560,7 @@ class TestLaggedJacobian:
 
     def test_1d_ch_plateau_reuses_one_lu(self, monkeypatch):
         # the run sits near its constant state from t ~ 1: chord passes
-        # that stall below newton_tol end the step without a fresh LU, and
+        # that stall below NEWTON_TOL end the step without a fresh LU, and
         # one LU at dt_max serves the plateau
         seen = []
         real = dynamics.spla.splu
@@ -578,12 +578,11 @@ class TestLaggedJacobian:
         M = factory()
         grid = Grid((64,), (1.0,))
         s = State(Field(grid, 0.1 + 0.3 * np.cos(4 * np.pi * grid.axes()[0])))
-        cfg = StepperConfig()
         dt = 1e-3
         ws = dynamics._StepWorkspace(M, s.phi)
         ws.jacobian_solver(s.phi.data, 0.6 * dt)
-        stale = step(M, s, dt, cfg, _workspace=ws)
-        fresh = step(M, s, dt, cfg)
+        stale = step(M, s, dt, _workspace=ws)
+        fresh = step(M, s, dt)
         assert norm_l2(Field(grid, stale.phi.data - fresh.phi.data)) <= 1e-12
 
     @pytest.mark.parametrize("bc", ["neumann", "periodic"])
@@ -634,7 +633,7 @@ class TestLaggedJacobian:
         M = ch_model()
         grid = Grid((16,), (1.0,))
         s = State(Field(grid, 0.1 + 0.3 * np.cos(2 * np.pi * grid.axes()[0])))
-        step(M, s, 1e-3, StepperConfig())
+        step(M, s, 1e-3)
         stepper_calls = len(kwargs)
         solve_equilibrium(M, 0.1, s.phi)
         assert 0 < stepper_calls < len(kwargs)
@@ -671,7 +670,7 @@ class TestLaggedJacobian:
         stub = types.SimpleNamespace(solve=lambda b: scale * b)
         monkeypatch.setattr(dynamics, "spla", types.SimpleNamespace(splu=lambda A, **kw: stub))
         with pytest.raises(NewtonDivergenceError, match="Schur complement"):
-            step(M, s, dt, StepperConfig())
+            step(M, s, dt)
 
     def test_sherman_morrison_breakdown_is_rejected_and_retried(self, monkeypatch):
         real = dynamics.spla.splu
@@ -792,7 +791,7 @@ class TestConvexityFloor:
     def test_step_raises(self):
         M, phi = self.dipped_case()
         with pytest.raises(ValidationError, match="convexity"):
-            step(M, State(phi), 1e-3, StepperConfig())
+            step(M, State(phi), 1e-3)
 
     def test_solve_equilibrium_raises(self):
         M, phi = self.dipped_case()

@@ -24,8 +24,8 @@ from phaselab import (
     inner,
     nonlocal_cahn_hilliard,
 )
-from phaselab.grid import FaceField, weighted_laplacian_matrix
-from conftest import face_average, weighted_div_grad
+from phaselab.grid import weighted_laplacian_matrix
+from conftest import face_average, flat_faces, weighted_div_grad
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -134,25 +134,12 @@ def test_apply_matches_matrix_and_slice_oracle(case):
     grid, u, c = case
     faces = face_average(Field(grid, c))
     w = grid.faces.average(c)
-    assert np.array_equal(w, grid.faces.gather(faces))
+    assert np.array_equal(w, flat_faces(faces))
     mf = apply(grid, w, u)
     scale = float(np.max(w * grid.faces.inv_h2)) * 4.0 * grid.dim
     assert np.allclose(weighted_laplacian_matrix(grid, w) @ u, mf, rtol=0, atol=1e-13 * scale)
-    assert np.allclose(weighted_laplacian_matrix(grid, faces) @ u, mf, rtol=0, atol=1e-13 * scale)
     assert np.allclose(weighted_div_grad(Field(grid, u), faces).data, mf,
                        rtol=0, atol=1e-13 * scale)
-
-
-@SETTINGS
-@given(grids())
-def test_gather_reads_one_value_per_physical_face(grid):
-    comps = tuple(np.arange(c.size, dtype=float).reshape(c.shape) + 1000.0 * a
-                  for a, c in enumerate(face_average(Field.constant(grid, 1.0)).components))
-    got = grid.faces.gather(FaceField(grid, comps))
-    interior = sum(grid.n_cells // n * (n - 1) for n in grid.shape)
-    wrap = sum(grid.n_cells // n for n in grid.shape) if grid.bc == "periodic" else 0
-    assert got.size == interior + wrap == grid.faces.lo.size
-    assert np.unique(got).size == got.size
 
 
 def _model(kind):

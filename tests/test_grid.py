@@ -11,7 +11,6 @@ from phaselab import (
     Field,
     Grid,
     KernelMatrix,
-    convolve,
     inner,
     load_field,
     norm_h1_semi,
@@ -19,13 +18,15 @@ from phaselab import (
     norm_l2,
     save_field,
 )
-from phaselab.grid import FaceField, fast_length, weighted_laplacian_matrix
+from phaselab.grid import fast_length, weighted_laplacian_matrix
 from phaselab.errors import GridMismatchError, ParseError
 from phaselab.physics import KernelSpec
 from conftest import (
+    FaceField,
     dense_kernel,
     face_average,
     face_sum,
+    flat_faces,
     gradient,
     unit_face_weights,
     weighted_div_grad,
@@ -135,7 +136,7 @@ class TestWeightedDivGrad:
         r = rng(4)
         phi = Field(grid, r.uniform(-1, 1, grid.n_cells))
         w = face_average(Field(grid, r.uniform(0.2, 1.5, grid.n_cells)))
-        L = weighted_laplacian_matrix(grid, w)
+        L = weighted_laplacian_matrix(grid, flat_faces(w))
         assert np.allclose(L @ phi.data, weighted_div_grad(phi, w).data, atol=1e-14)
         assert abs(L - L.T).max() == 0.0  # symmetry
 
@@ -216,7 +217,7 @@ class TestHMinus1:
     @pytest.mark.parametrize("bc", ["neumann", "periodic"])
     def test_matches_pseudo_inverse_oracle(self, shape, bc):
         grid = Grid(shape, tuple(0.7 + a for a in range(len(shape))), bc)
-        A = -weighted_laplacian_matrix(grid, unit_face_weights(grid)).toarray()
+        A = -weighted_laplacian_matrix(grid, 1.0).toarray()
         r = rng(14)
         for _ in range(3):
             u = r.uniform(-1, 1, grid.n_cells)
@@ -299,8 +300,8 @@ class TestKernelMatrix:
         grid = Grid((16,), (1.0,))
         K = KernelMatrix.from_profile(grid, self.gaussian_profile())
         c = 0.37
-        out = convolve(K, Field.constant(grid, c))
-        assert np.allclose(out.data, c * K.row_sums, atol=1e-14)
+        out = K.apply_values(np.full(grid.n_cells, c))
+        assert np.allclose(out, c * K.row_sums, atol=1e-14)
 
     def test_single_cell_indicator_gives_column(self):
         grid = Grid((12,), (1.0,))
@@ -308,8 +309,8 @@ class TestKernelMatrix:
         j = 5
         e = np.zeros(12)
         e[j] = 1.0
-        out = convolve(K, Field(grid, e))
-        assert np.allclose(out.data, dense_kernel(K)[:, j], atol=1e-15)
+        out = K.apply_values(e)
+        assert np.allclose(out, dense_kernel(K)[:, j], atol=1e-15)
 
     def test_self_adjointness_brute_force(self):
         grid = Grid((16,), (1.0,))
@@ -317,8 +318,8 @@ class TestKernelMatrix:
         r = rng(8)
         u = Field(grid, r.uniform(-1, 1, 16))
         v = Field(grid, r.uniform(-1, 1, 16))
-        lhs = inner(convolve(K, u), v)
-        rhs = inner(u, convolve(K, v))
+        lhs = inner(Field(grid, K.apply_values(u.data)), v)
+        rhs = inner(u, Field(grid, K.apply_values(v.data)))
         assert abs(lhs - rhs) <= 1e-12
 
     @pytest.mark.parametrize("shape", [(64,), (16, 16)])
@@ -361,6 +362,11 @@ class TestKernelMatrix:
 
         assert [fast_length(m) for m in range(1, 4097)] == [
             fft.next_fast_len(m, real=True) for m in range(1, 4097)]
+
+    @pytest.mark.parametrize("m", [0, -1, -7])
+    def test_fast_length_rejects_lengths_below_one(self, m):
+        with pytest.raises(ValueError, match="m >= 1"):
+            fast_length(m)
 
     @pytest.mark.parametrize("shape", [(1,), (2,), (7,), (127,), (128,), (1, 5), (5, 9),
                                        (40, 40)])
